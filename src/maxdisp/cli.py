@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="estimate or (when applicable) solve an instance exactly")
     p.add_argument("instance", help="path to an instance JSON file")
     p.add_argument("--exact", action="store_true", help="use the sign-direction exact method")
-    p.add_argument("--oracle", action="store_true", help="use the sampling oracle (default)")
     p.add_argument("--budget", type=int, default=200_000, help="oracle sample budget")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_solve)

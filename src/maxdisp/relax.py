@@ -4,22 +4,20 @@ Replacing ||x||^2 by its maximum over the feasible region (1 on the ball, n on
 the box) turns the dispersion problem into the concave piecewise-linear
 program
 
-    maximize   F(x) = min_i w_i (mu - 2 p_i . x + ||p_i||^2)
-    subject to x in ball / box,
+    maximize   F(x) = min_i (a_i - b_i . x)
+    subject to x in ball / box,      a_i = w_i (mu + ||p_i||^2), b_i = 2 w_i p_i,
 
-whose value sandwiches the original one from above.  F is maximized by
-projected supergradient ascent with Polyak-type steps.  The matching upper
-bound comes from simplex multipliers: for any lam >= 0 with sum(lam) = 1,
+whose value sandwiches the original one from above.  Its epigraph form,
+max t s.t. B x + t <= a, is one HiGHS linear program on the box and a
+single-cone program on the ball, solved by a log-barrier Newton method.  For
+any simplex vector lam (lam >= 0, sum(lam) = 1) the closed form
 
-    U(lam) = sum_i lam_i w_i (mu + ||p_i||^2) + N(sum_i 2 lam_i w_i p_i),
+    U(lam) = lam . a + N(B^T lam),
 
-where N is the Euclidean norm on the ball and the l1 norm on the box (the
-closed-form inner maximum of the weighted combination).  Any feasible x gives
-a lower bound F(x) and any simplex lam gives an upper bound U(lam), so the
-returned gap is a certificate independent of how the iterates were produced.
-Multiplier candidates come from active-index frequencies along the ascent and
-from small nonnegative least-squares / linear programs on the near-active
-set, which usually collapse the gap as soon as the active set is identified.
+with N the Euclidean norm on the ball and the l1 norm on the box, bounds the
+value from above, and any feasible x bounds it from below by F(x), so the
+returned gap is a certificate independent of how the solver got there.  An
+active-set polish takes both sides to rounding level.
 
 The optimum also induces a feasible matrix for the semidefinite relaxation of
 the same problem (`lift_ball`, `lift_box`), realizing the equivalence between
@@ -47,10 +45,8 @@ __all__ = [
     "gamma1",
 ]
 
-_POLISH_EVERY = 40
-_STALL_WINDOW = 60
 _ACTIVE_CAP_PAD = 6
-_CUT_ROUNDS = 400
+_TAU_GROWTH = 8.0
 
 
 class NonPositiveValueError(RuntimeError):
@@ -62,8 +58,10 @@ class RelaxationResult:
     """Certified output of solve_cr_ball / solve_cr_box.
 
     zeta_star is F(x_star) computed exactly from x_star, and the true
-    relaxation value lies in [zeta_star, zeta_star + gap].  converged is False
-    when the iteration budget ran out before gap <= tol.
+    relaxation value lies in [zeta_star, zeta_star + gap], where the bound
+    zeta_star + gap is U of a simplex vector.  converged means gap <= tol; it
+    is False when the iteration budget ran out first.  iterations counts
+    HiGHS simplex iterations on the box and Newton steps on the ball.
     """
 
     x_star: np.ndarray
@@ -96,362 +94,159 @@ class LiftedMatrix:
         return inst.weights * (z_block_trace - 2.0 * inst.points @ z_cross + p_sq * z_corner)
 
 
-# ---------------------------------------------------------------------------
-# supergradient engine
-# ---------------------------------------------------------------------------
+class _Certificate:
+    """Best feasible point (scored by F) and best simplex bound (scored by U).
 
-
-def _project_ball(x):
-    nrm = np.linalg.norm(x)
-    return x / nrm if nrm > 1.0 else x
-
-
-def _project_box(x):
-    return np.clip(x, -1.0, 1.0)
-
-
-def _dual_norm_ball(c):
-    return float(np.linalg.norm(c))
-
-
-def _dual_norm_box(c):
-    return float(np.abs(c).sum())
-
-
-def _upper_value(a, B, lam, dual_norm):
-    return float(lam @ a + dual_norm(B.T @ lam))
-
-
-def _active_indices(r, f_val, eps, cap):
-    act = np.flatnonzero(r <= f_val + eps)
-    if act.size == 0:
-        act = np.array([int(np.argmin(r))])
-    if act.size > cap:
-        act = act[np.argsort(r[act])[:cap]]
-    return act
-
-
-def _multiplier_ball(a, B, x, act):
-    """Simplex multipliers supported on act that nearly annihilate B^T lam.
-
-    At a boundary optimum the combined slope sum lam_i b_i must be a
-    nonnegative multiple of -x; at an interior optimum it must vanish.  Both
-    cases are one nonnegative least-squares solve (the radial column is only
-    offered when x is away from the origin).
+    Nothing else a solver returns reaches the result, so its tolerances never
+    do.  It starts at the origin and the singleton on its smallest piece.
     """
-    k = act.size
-    n = B.shape[1]
-    bt = B[act].T
-    cols = [bt]
-    xn = np.linalg.norm(x)
-    if xn > 1e-9:
-        cols.append((x / xn).reshape(n, 1))
-    mat = np.hstack(cols)
-    scale = max(1.0, float(np.abs(mat).max()))
-    penalty = np.zeros(mat.shape[1])
-    penalty[:k] = scale
-    mat = np.vstack([mat, penalty])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = scale
-    try:
-        sol, _ = nnls(mat, rhs)
-    except RuntimeError:
-        return None
-    lam_act = sol[:k]
-    tot = lam_act.sum()
-    if tot <= 1e-12:
-        return None
-    lam = np.zeros(B.shape[0])
-    lam[act] = lam_act / tot
-    return lam
+
+    def __init__(self, a, B, ball):
+        self.a, self.B, self.ball = a, B, ball
+        self.x, self.f, self.upper = np.zeros(B.shape[1]), float(np.min(a)), math.inf
+        self.offer_bound(np.eye(1, a.size, int(np.argmin(a)))[0])
+
+    def offer_point(self, x):
+        x = x / max(1.0, float(np.linalg.norm(x))) if self.ball else np.clip(x, -1, 1)
+        f = float(np.min(self.a - self.B @ x))
+        if f > self.f:
+            self.x, self.f = x, f
+
+    def offer_bound(self, lam):
+        c = self.B.T @ lam
+        norm = np.linalg.norm(c) if self.ball else np.abs(c).sum()
+        upper = float(lam @ self.a + norm)
+        if upper < self.upper:
+            self.lam, self.upper = lam, upper
 
 
-def _multiplier_box(a, B, x, act):
-    """Exact minimizer of U over multipliers supported on act (a small LP)."""
-    k = act.size
-    n = B.shape[1]
-    bt = B[act].T
-    c = np.concatenate([a[act], np.ones(n)])
-    A_ub = np.block([[bt, -np.eye(n)], [-bt, -np.eye(n)]])
-    A_eq = np.zeros((1, k + n))
-    A_eq[0, :k] = 1.0
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=np.zeros(2 * n),
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        return None
-    lam_act = np.maximum(res.x[:k], 0.0)
-    tot = lam_act.sum()
-    if tot <= 1e-12:
-        return None
-    lam = np.zeros(B.shape[0])
-    lam[act] = lam_act / tot
-    return lam
+def _multipliers(B, x, act, ball):
+    """Simplex multipliers supported on act, by nonnegative least squares.
 
-
-def _candidate_multipliers(a, B, x_best, f_best, counts, multiplier):
-    """Candidate simplex vectors: visit frequencies, the argmin singleton,
-    and active-set solves at widening activity thresholds."""
+    At the optimum B^T lam is -nu x on the sphere, -sum_j nu_j x_j e_j over
+    the box coordinates at a bound (all nu >= 0), and 0 at an interior point.
+    One solve offers these bound directions as extra columns and one does
+    not: in the interior the radial column admits exact but loose solutions.
+    """
     m, n = B.shape
-    out = []
-    total = counts.sum()
-    if total > 0:
-        out.append(counts / total)
-    r = a - B @ x_best
-    singleton = np.zeros(m)
-    singleton[int(np.argmin(r))] = 1.0
-    out.append(singleton)
-    scale = max(1.0, abs(f_best))
-    cap = 3 * n + _ACTIVE_CAP_PAD
-    for eps in (1e-10 * scale, 1e-6 * scale, 1e-3 * scale):
-        act = _active_indices(r, f_best, eps, cap)
-        lam = multiplier(a, B, x_best, act)
-        if lam is not None:
-            out.append(lam)
-    return out
-
-
-def _primal_candidates(a, B, ball, lam, upper):
-    """Feasible points suggested by a multiplier vector.
-
-    At a boundary optimum of the ball the combined slope of the active pieces
-    opposes the optimizer, so the negated unit slope is a candidate; a
-    least-squares residual equalization on the support covers interior
-    optima.  On the box the optimum sits at the sign pattern opposing the
-    combined slope.  Candidates are only suggestions; each is scored by a
-    full objective evaluation.
-    """
-    n = B.shape[1]
-    c = B.T @ lam
-    out = []
     if ball:
-        nc = float(np.linalg.norm(c))
-        if nc > 1e-13:
-            out.append(-c / nc)
-        sup = np.flatnonzero(lam > 1e-14)
-        if 0 < sup.size <= n + 1:
-            x, *_ = np.linalg.lstsq(B[sup], a[sup] - upper, rcond=None)
-            nx = float(np.linalg.norm(x))
-            out.append(x / nx if nx > 1.0 else x)
+        nx = float(np.linalg.norm(x))
+        extra = x[:, None] / nx if nx > 1e-9 else np.zeros((n, 0))
     else:
-        out.append(-np.sign(c))
+        extra = np.eye(n)[:, np.abs(x) >= 1.0] * x[np.abs(x) >= 1.0]
+    out = []
+    for mat in (np.hstack([B[act].T, extra]), B[act].T)[: 2 if extra.size else 1]:
+        scale = max(1.0, float(np.abs(mat).max()))
+        penalty = np.r_[np.full(act.size, scale), np.zeros(mat.shape[1] - act.size)]
+        try:
+            sol = nnls(np.vstack([mat, penalty]), np.r_[np.zeros(n), scale])[0]
+        except RuntimeError:
+            continue
+        sol = sol[: act.size]
+        if sol.sum() > 1e-12:
+            out.append(np.zeros(m))
+            out[-1][act] = sol / sol.sum()
     return out
 
 
-def _polish(a, B, ball, x_best, f_best, counts, upper, dual_norm, multiplier, rounds=4):
-    """Ping-pong dual and primal candidates until neither side improves."""
-    project = _project_ball if ball else _project_box
-    for _ in range(rounds):
-        improved = False
-        for lam in _candidate_multipliers(a, B, x_best, f_best, counts, multiplier):
-            val = _upper_value(a, B, lam, dual_norm)
-            gain = (upper - val) if math.isfinite(upper) else math.inf
-            if gain > 1e-15 * max(1.0, abs(val)):
-                upper = val
-                improved = True
-            for x_hat in _primal_candidates(a, B, ball, lam, upper):
-                x_hat = project(x_hat)
-                f = float(np.min(a - B @ x_hat))
-                if f > f_best:
-                    f_best = f
-                    x_best = x_hat.copy()
-                    improved = True
-        if not improved:
-            break
-    return upper, x_best, f_best
+def _face_point(a, B, act):
+    """Best point of the ball at which every piece in act takes the same value.
 
-
-def _escalate_box(a, B, x_best, f_best, upper, dual_norm):
-    """Exact linear program for the box geometry.
-
-    Variables (x, t), maximize t subject to B x + t <= a and the box bounds.
-    The primal solution is kept only through a fresh objective evaluation and
-    the dual only as a cleaned simplex vector fed through the closed-form
-    bound, so solver tolerances never leak into the certificate.
+    The ties (b_i - b_0).x = a_i - a_0 cut out an affine set; its minimum-norm
+    point, stepped to the sphere along the part of -b_0 parallel to the set,
+    maximizes the common value (n + 1 independent ties leave just the point).
     """
-    m, n = B.shape
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    res = linprog(
-        cost,
-        A_ub=np.hstack([B, np.ones((m, 1))]),
-        b_ub=a,
-        bounds=[(-1.0, 1.0)] * n + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        return x_best, f_best, upper
-    x = np.clip(res.x[:n], -1.0, 1.0)
-    f = float(np.min(a - B @ x))
-    if f > f_best:
-        f_best, x_best = f, x
-    lam = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
-    tot = lam.sum()
-    if tot > 1e-12:
-        upper = min(upper, _upper_value(a, B, lam / tot, dual_norm))
-    return x_best, f_best, upper
+    b0 = B[act[0]]
+    u, sv, vt = np.linalg.svd(B[act[1:]] - b0)
+    rank = int(np.sum(sv > 1e-12 * sv[0])) if sv.size else 0
+    x = vt[:rank].T @ ((u[:, :rank].T @ (a[act[1:]] - a[act[0]])) / sv[:rank])
+    g = vt[rank:] @ b0
+    gn, room = float(np.linalg.norm(g)), 1.0 - float(x @ x)
+    if room > 0.0 and gn > 1e-12 * max(1.0, float(np.linalg.norm(b0))):
+        x = x - vt[rank:].T @ g * (math.sqrt(room) / gn)
+    return x
 
 
-def _escalate_ball(a, B, x_best, f_best, upper, tol, counts, rounds_allowed):
-    """Cutting-plane refinement for the ball geometry.
+def _polish(cert, lam):
+    """One pass of exact solves on the active sets suggested by lam and cert.x.
 
-    The ball is outer-approximated by the box plus accumulated tangent
-    halfspaces u . x <= 1; the LP value over any such polytope upper-bounds
-    the ball value.  Each round renormalizes the LP optimizer into the ball
-    (primal candidate), recycles the LP duals as a simplex vector (upper
-    bound via the closed form), polishes, and adds the tangent cut at the LP
-    point.  Cuts concentrate near the optimizer, so the polytope hugs the
-    sphere exactly where it matters.
+    The sets are the top n + 1 entries of lam and the pieces within widening
+    thresholds of the minimum at the best point.  Each set yields multipliers
+    and, on the ball, the face point of each multiplier's support.
     """
-    m, n = B.shape
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    base = np.hstack([B, np.ones((m, 1))])
-    bounds = [(-1.0, 1.0)] * n + [(None, None)]
-    cuts: list[np.ndarray] = []
-    nrm0 = float(np.linalg.norm(x_best))
-    if nrm0 > 1e-9:
-        cuts.append(x_best / nrm0)
-    used = 0
-    for _ in range(rounds_allowed):
-        used += 1
-        if cuts:
-            C = np.asarray(cuts)
-            A_ub = np.vstack([base, np.hstack([C, np.zeros((C.shape[0], 1))])])
-            b_ub = np.concatenate([a, np.ones(C.shape[0])])
-        else:
-            A_ub, b_ub = base, a
-        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if not res.success:
-            break
-        lam = np.maximum(-np.asarray(res.ineqlin.marginals[:m]), 0.0)
-        tot = lam.sum()
-        if tot > 1e-12:
-            lam = lam / tot
-            upper = min(upper, _upper_value(a, B, lam, _dual_norm_ball))
-            for x_hat in _primal_candidates(a, B, True, lam, upper):
-                x_hat = _project_ball(x_hat)
-                f = float(np.min(a - B @ x_hat))
-                if f > f_best:
-                    f_best, x_best = f, x_hat.copy()
-        x_lp = res.x[:n]
-        nrm = float(np.linalg.norm(x_lp))
-        x_feas = x_lp / nrm if nrm > 1.0 else x_lp
-        f = float(np.min(a - B @ x_feas))
-        if f > f_best:
-            f_best, x_best = f, x_feas.copy()
-        upper, x_best, f_best = _polish(
-            a, B, True, x_best, f_best, counts, upper, _dual_norm_ball,
-            _multiplier_ball, rounds=2,
-        )
-        if upper - f_best <= tol or nrm <= 1.0 + 1e-12:
-            break
-        cuts.append(x_lp / nrm)
-    return x_best, f_best, upper, used
+    a, B, n = cert.a, cert.B, cert.B.shape[1]
+    order = np.argsort(r := a - B @ cert.x, kind="stable")
+    sets = {tuple(np.sort(np.argsort(-lam, kind="stable")[: n + 1]))}
+    for eps in (1e-10, 1e-6, 1e-3):
+        k = np.searchsorted(r[order], cert.f + eps * max(1.0, abs(cert.f)), "right")
+        sets.add(tuple(np.sort(order[: min(max(k, 1), 3 * n + _ACTIVE_CAP_PAD)])))
+    for act in sorted(sets):
+        for mult in _multipliers(B, cert.x, np.array(act), cert.ball):
+            cert.offer_bound(mult)
+            if cert.ball:
+                cert.offer_point(_face_point(a, B, np.flatnonzero(mult)))
 
 
-def _maximize_min_affine(a, B, geometry: Geometry, tol, max_iter):
-    """Maximize min(a - B x) over the ball or box with a certified gap.
+def _solve_box(cert, tol, fine, max_iter):
+    """One HiGHS LP: max t s.t. B x + t <= a, |x_j| <= 1; returns its iterations."""
+    m, n = cert.B.shape
+    A_ub, bounds = np.hstack([cert.B, np.ones((m, 1))]), [(-1, 1)] * n + [(None, None)]
+    res = linprog(np.r_[np.zeros(n), -1.0], A_ub, cert.a, bounds=bounds, method="highs",
+                  options={"maxiter": max_iter})
+    if res.success:
+        cert.offer_point(res.x[:n])
+        duals = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
+        if duals.sum() > 1e-12:
+            cert.offer_bound(duals / duals.sum())
+    _polish(cert, cert.lam)
+    return int(res.nit)
 
-    Phase one is projected supergradient ascent with Polyak steps toward the
-    best known upper bound, polishing periodically.  If the gap is still
-    open within the iteration budget, phase two runs the geometry's exact
-    escalation (one LP for the box, cutting planes for the ball), with its
-    rounds charged against the same budget.
+
+def _solve_ball(cert, tol, fine, max_iter):
+    """Log-barrier Newton method for max t s.t. B x + t <= a, ||x|| <= 1.
+
+    Damped Newton steps center phi = -tau t - sum log s_i - log(1 - ||x||^2),
+    s = a - B x - t, then tau grows.  At a center the d_i = 1/s_i sum to tau,
+    so d / tau is a simplex vector whose bound is about (m + 1) / tau above
+    the value; it seeds the polish.  Stops when the polish closes the gap,
+    after max_iter Newton steps (the count returned), or once (m + 1) / tau
+    is far below tol, past which phi has no digits left to resolve.
     """
-    m, n = B.shape
-    ball = geometry is Geometry.BALL
-    project = _project_ball if ball else _project_box
-    dual_norm = _dual_norm_ball if ball else _dual_norm_box
-    multiplier = _multiplier_ball if ball else _multiplier_box
-
-    x = np.zeros(n)
-    best_x = x.copy()
-    best_f = float(np.min(a))
-    counts = np.zeros(m)
-
-    upper, best_x, best_f = _polish(
-        a, B, ball, best_x, best_f, counts, math.inf, dual_norm, multiplier, rounds=2
-    )
-    if tol is None:
-        tol = 1e-7 * max(1.0, upper)
-
-    damp = 1.0
-    last_gain = 0
-    it = 0
-    ascent_cap = min(max_iter, 8 * (m + n) + 40)
-    while upper - best_f > tol and it < ascent_cap:
-        it += 1
-        r = a - B @ x
-        i = int(np.argmin(r))
-        f_val = float(r[i])
-        counts[i] += 1
-        if f_val > best_f:
-            best_f = f_val
-            best_x = x.copy()
-            last_gain = it
-            if upper - best_f <= tol:
+    a, B, (m, n) = cert.a, cert.B, cert.B.shape
+    A = np.hstack([B, np.ones((m, 1))])
+    size = max(1.0, float(np.min(a)))
+    z, tau = np.r_[np.zeros(n), np.min(a) - size], (m + 1) / size
+    steps = 0
+    while True:
+        x, s = z[:n], a - A @ z
+        q, d = 1.0 - float(x @ x), 1.0 / s
+        g = A.T @ d - np.r_[-2.0 / q * x, tau]
+        H = (A.T * (d * d)) @ A
+        H[:n, :n] += 2.0 / q * np.eye(n) + 4.0 / (q * q) * np.outer(x, x)
+        try:
+            dz = -np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:  # only far past the resolution of phi
+            return steps
+        slope, step = float(g @ dz), 1.0
+        while -slope > 2e-6 and steps < max_iter and step > 1e-18:  # Armijo search
+            z_new = z + step * dz
+            s_new, q_new = a - A @ z_new, 1.0 - float(z_new[:n] @ z_new[:n])
+            # the change of phi, summed without forming -tau t
+            if s_new.min() > 0.0 and q_new > 0.0 and (
+                -tau * step * dz[n] - np.log(s_new / s).sum() - math.log(q_new / q)
+                <= 0.25 * step * slope
+            ):
+                z, steps = z_new, steps + 1
                 break
-        g = B[i]
-        g_sq = float(g @ g)
-        if g_sq <= 1e-28:
-            # the active piece is constant, so its singleton multiplier is exact
-            lam = np.zeros(m)
-            lam[i] = 1.0
-            upper = min(upper, _upper_value(a, B, lam, dual_norm))
-            break
-        x = project(x - (damp * (upper - f_val) / g_sq) * g)
-        if it % _POLISH_EVERY == 0:
-            upper, best_x, best_f = _polish(
-                a, B, ball, best_x, best_f, counts, upper, dual_norm, multiplier,
-                rounds=1,
-            )
-        if it - last_gain > _STALL_WINDOW:
-            x = best_x.copy()
-            damp = max(0.5 * damp, 1.0 / 64.0)
-            last_gain = it
-
-    upper, best_x, best_f = _polish(
-        a, B, ball, best_x, best_f, counts, upper, dual_norm, multiplier
-    )
-
-    if upper - best_f > tol and it < max_iter:
-        if ball:
-            rounds = min(_CUT_ROUNDS, max_iter - it)
-            best_x, best_f, upper, used = _escalate_ball(
-                a, B, best_x, best_f, upper, tol, counts, rounds
-            )
-            it += used
-        else:
-            best_x, best_f, upper = _escalate_box(a, B, best_x, best_f, upper, dual_norm)
-            it += 1
-            upper, best_x, best_f = _polish(
-                a, B, ball, best_x, best_f, counts, upper, dual_norm, multiplier
-            )
-
-    x_star = best_x
-    if ball:
-        nrm = np.linalg.norm(x_star)
-        if nrm > 1.0:
-            x_star = x_star / nrm
-    else:
-        x_star = np.clip(x_star, -1.0, 1.0)
-    zeta = float(np.min(a - B @ x_star))
-    gap = max(upper - zeta, 0.0)
-    return x_star, zeta, gap, it, gap <= tol
-
-
-def _linear_data(inst: DispersionInstance, mu: float):
-    p_sq = np.einsum("ij,ij->i", inst.points, inst.points)
-    a = inst.weights * (mu + p_sq)
-    B = 2.0 * inst.weights[:, None] * inst.points
-    return a, B
+            step *= 0.5
+        else:  # centered, out of steps, or stalled
+            cert.offer_point(x)
+            cert.offer_bound(d / d.sum())
+            _polish(cert, d / d.sum())
+            closed = cert.upper - cert.f <= fine or (m + 1) / tau < 1e-3 * tol
+            if closed or steps >= max_iter or -slope > 2e-6:
+                return steps
+            tau *= _TAU_GROWTH
 
 
 def _solve_relaxation(inst: DispersionInstance, geometry: Geometry, tol, max_iter):
@@ -463,7 +258,8 @@ def _solve_relaxation(inst: DispersionInstance, geometry: Geometry, tol, max_ite
         raise ValueError(f"tol must be positive, got {tol}")
     n, m = inst.dim, inst.m
     mu = 1.0 if geometry is Geometry.BALL else float(n)
-    a, B = _linear_data(inst, mu)
+    a = inst.weights * (mu + np.einsum("ij,ij->i", inst.points, inst.points))
+    B = 2.0 * inst.weights[:, None] * inst.points
 
     if max_iter is None:
         max_iter = 200 * m * n
@@ -475,16 +271,24 @@ def _solve_relaxation(inst: DispersionInstance, geometry: Geometry, tol, max_ite
     if m == 1:
         p = inst.points[0]
         if geometry is Geometry.BALL:
-            x = -p / np.linalg.norm(p)
+            u = p / np.abs(p).max()  # rescaled so that the norm cannot underflow
+            x = -u / np.linalg.norm(u)
         else:
             x = -np.sign(p)
         zeta = float((a - B @ x)[0])
         return RelaxationResult(x, zeta, 0.0, 0, True)
 
-    x_star, zeta, gap, iters, converged = _maximize_min_affine(
-        a, B, geometry, tol, max_iter
-    )
-    return RelaxationResult(x_star, zeta, gap, iters, converged)
+    # repeated anchors would crowd the polish's active sets: keep one of each
+    keep = np.sort(np.unique(np.column_stack([a, B]), axis=0, return_index=True)[1])
+    cert = _Certificate(a[keep], B[keep], geometry is Geometry.BALL)
+    if tol is None:
+        tol = 1e-7 * max(1.0, cert.upper)
+    # polish to rounding level, not just to tol, so x_star is reproducible
+    fine = min(tol, 1e-12 * max(1.0, cert.upper))
+    solve = _solve_ball if cert.ball else _solve_box
+    iterations = solve(cert, tol, fine, max_iter)
+    gap = max(cert.upper - cert.f, 0.0)
+    return RelaxationResult(cert.x, cert.f, gap, iterations, gap <= tol)
 
 
 def solve_cr_ball(
@@ -492,9 +296,10 @@ def solve_cr_ball(
 ) -> RelaxationResult:
     """Certified maximization of min_i w_i (1 - 2 p_i.x + ||p_i||^2) over the ball.
 
-    The default tolerance is 1e-7 * max(1, initial upper bound) and the
-    default iteration cap is 200 * m * n.  On a single anchor the optimum is
-    closed form (the antipode of the anchor direction).
+    The default tolerance is 1e-7 * max(1, U0), with U0 the bound of the piece
+    that is smallest at the origin, and the default cap is 200 * m * n
+    Newton steps.  On a single anchor the optimum is closed form (the
+    antipode of the anchor direction).
     """
     return _solve_relaxation(inst, Geometry.BALL, tol, max_iter)
 
@@ -502,7 +307,10 @@ def solve_cr_ball(
 def solve_cr_box(
     inst: DispersionInstance, tol: float | None = None, max_iter: int | None = None
 ) -> RelaxationResult:
-    """Certified maximization of min_i w_i (n - 2 p_i.x + ||p_i||^2) over the box."""
+    """Certified maximization of min_i w_i (n - 2 p_i.x + ||p_i||^2) over the box.
+
+    Defaults as for solve_cr_ball; max_iter caps HiGHS simplex iterations.
+    """
     return _solve_relaxation(inst, Geometry.BOX, tol, max_iter)
 
 

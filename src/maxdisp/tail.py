@@ -35,7 +35,6 @@ __all__ = [
     "tail_s",
     "tail_s_inverse",
     "sample_sphere",
-    "sample_sphere_batch",
     "tail_bound_check",
 ]
 
@@ -109,24 +108,6 @@ def sample_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
         nrm = np.linalg.norm(v)
         if nrm > 0.0:
             return v / nrm
-
-
-def sample_sphere_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count unit-sphere points as rows of a (count, n) array."""
-    if int(n) != n or int(n) < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    out = rng.standard_normal((int(count), int(n)))
-    nrms = np.linalg.norm(out, axis=1)
-    bad = np.flatnonzero(nrms == 0.0)
-    for i in bad:  # essentially unreachable, kept for exactness of the law
-        row = rng.standard_normal(int(n))
-        while np.linalg.norm(row) == 0.0:
-            row = rng.standard_normal(int(n))
-        out[i] = row
-        nrms[i] = np.linalg.norm(row)
-    return out / nrms[:, None]
 
 
 @dataclass(frozen=True)

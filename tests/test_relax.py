@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxdisp import (
     DispersionInstance,
@@ -33,8 +35,8 @@ THREE_POINTS = DispersionInstance(
 )
 
 
-def _relaxed_objective(inst, xs):
-    """min_i of the lifted affine minorants, vectorized over rows of xs."""
+def _affine_pieces(inst):
+    """(a, B) with the lifted affine minorants a_i - b_i . x as rows."""
     w = inst.weights
     if inst.geometry is Geometry.BALL:
         mu = 1.0
@@ -42,6 +44,12 @@ def _relaxed_objective(inst, xs):
         mu = float(inst.dim)
     a = w * (mu + np.sum(inst.points**2, axis=1))
     B = 2.0 * w[:, None] * inst.points
+    return a, B
+
+
+def _relaxed_objective(inst, xs):
+    """min_i of the lifted affine minorants, vectorized over rows of xs."""
+    a, B = _affine_pieces(inst)
     return np.min(a[None, :] - xs @ B.T, axis=1)
 
 
@@ -118,6 +126,11 @@ def test_single_anchor_closed_form():
         expect = w * (1.0 + np.linalg.norm(p)) ** 2
         assert abs(res.zeta_star - expect) < 1e-9 * expect
         assert res.gap == 0.0 and res.converged
+    # an anchor so close to the origin that its squared norm underflows
+    tiny = DispersionInstance(2, np.array([[3e-256, -1e-256]]), np.ones(1), Geometry.BALL)
+    res = solve_cr_ball(tiny)
+    assert tiny.contains(res.x_star) and abs(np.linalg.norm(res.x_star) - 1.0) < 1e-15
+    assert res.zeta_star == 1.0
 
 
 def test_coincident_origin_anchors():
@@ -139,6 +152,19 @@ def test_coincident_origin_anchors():
     assert abs(res.zeta_star - 3.0) < 1e-12
 
 
+@pytest.mark.parametrize("geom", [Geometry.BALL, Geometry.BOX])
+def test_repeated_anchors(geom):
+    solver = solve_cr_ball if geom is Geometry.BALL else solve_cr_box
+    # each repeat is a redundant piece; the solve must see through them
+    bases = ([[-0.5], [0.25], [0.75]], [[1.0, 0.0], [-0.5, 0.5], [0.0, -1.0]])
+    for base in map(np.array, bases):
+        once = solver(DispersionInstance(base.shape[1], base, np.ones(3), geom))
+        pts = np.repeat(base, 16, axis=0)
+        res = solver(DispersionInstance(base.shape[1], pts, np.ones(48), geom))
+        assert res.converged
+        assert abs(res.zeta_star - once.zeta_star) <= once.gap + res.gap
+
+
 def test_line_segment_pair():
     inst = DispersionInstance(
         dim=1,
@@ -150,16 +176,58 @@ def test_line_segment_pair():
     assert abs(res.zeta_star - 2.0) < 1e-9
 
 
-def test_nonconvergence_is_reported():
-    inst = generate_random(8, 25, seed=0, geometry=Geometry.BOX)
-    starved = solve_cr_box(inst, max_iter=3)
+@pytest.mark.parametrize("geom", [Geometry.BALL, Geometry.BOX])
+def test_nonconvergence_is_reported(geom):
+    solver = solve_cr_ball if geom is Geometry.BALL else solve_cr_box
+    inst = generate_random(8, 25, seed=0, geometry=geom)
+    starved = solver(inst, max_iter=3)
     assert not starved.converged
     assert starved.gap > 1e-2
-    full = solve_cr_box(inst, tol=1e-10)
+    full = solver(inst, tol=1e-10)
     assert full.converged
     assert full.gap < 1e-10
     # starving the solver must not break the bound sandwich
     assert starved.zeta_star <= full.zeta_star + full.gap + 1e-9
+
+
+def test_interior_optimum_certified():
+    # the benchmark protocol's m = 15 instance at seed 0: the optimum is
+    # interior, with six pieces tied, so no boundary formula can reach it
+    stream = np.random.default_rng(np.random.SeedSequence([0, 0]))
+    pts = stream.uniform(-1.0, 1.0, (450, 5))[90:105]
+    inst = DispersionInstance(5, pts, np.ones(15), Geometry.BALL)
+    res = solve_cr_ball(inst, tol=1e-10)
+    assert res.converged
+    assert res.gap <= 1e-10
+    assert np.linalg.norm(res.x_star) < 0.9
+
+
+_coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 40))
+    row = st.lists(_coords, min_size=n, max_size=n)
+    pts = draw(st.lists(row, min_size=m, max_size=m))
+    w = draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
+    geom = draw(st.sampled_from([Geometry.BALL, Geometry.BOX]))
+    return DispersionInstance(n, np.array(pts), np.array(w), geom)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_instances(), seed=st.integers(0, 2**32 - 1))
+def test_certificate_properties(inst, seed):
+    solver = solve_cr_ball if inst.geometry is Geometry.BALL else solve_cr_box
+    res = solver(inst)
+    assert inst.contains(res.x_star)
+    # zeta_star is F(x_star), equal up to the rounding of the recomputation
+    a, B = _affine_pieces(inst)
+    assert abs(res.zeta_star - float(np.min(a - B @ res.x_star))) <= 1e-13 * np.max(a)
+    assert res.converged
+    cloud = _feasible_cloud(inst, 2000, np.random.default_rng(seed))
+    assert np.max(_relaxed_objective(inst, cloud)) <= res.zeta_star + res.gap + 1e-9
 
 
 def test_geometry_and_tol_validation():
