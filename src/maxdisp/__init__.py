@@ -27,6 +27,7 @@ from .hardness import (
     partition_min_imbalance,
     qcqp_grid_value,
     qcqp_value,
+    solve_bqp_relaxcheck,
     verify_reduction,
 )
 from .instance import (
@@ -40,7 +41,7 @@ from .instance import (
     read_instance,
     write_instance,
 )
-from .oracle import OracleResult, solve_bqp_relaxcheck, solve_global
+from .oracle import OracleResult, solve_global
 from .relax import (
     LiftedMatrix,
     NonPositiveValueError,
@@ -53,7 +54,6 @@ from .relax import (
 )
 from .tail import (
     TailBoundReport,
-    TailQuery,
     sample_sphere,
     tail_bound_check,
     tail_s,
@@ -80,7 +80,6 @@ __all__ = [
     "RelaxationResult",
     "SampleBudgetExceeded",
     "TailBoundReport",
-    "TailQuery",
     "approx_ball",
     "approx_box_simplified",
     "approx_general_fixed",

@@ -1,27 +1,24 @@
 """Randomized approximation algorithms with provable quality bounds.
 
-Three rejection samplers share one shape: draw candidate directions until one
-is simultaneously far from every anchor direction, in the sense of a strict
-inequality whose threshold alpha is chosen so that, by a union bound over the
-anchors, acceptance happens with probability at least 1 - rho per draw.
+The three samplers share one rejection loop: draw batches of candidates z
+and accept the first with stretch * (z . d_i) < alpha * ||d_i|| for every
+nonzero test direction d_i (a zero row could never pass the strict test, so
+it is exempt).  alpha is chosen so that, by a union bound over the anchors,
+a draw is accepted with probability at least 1 - rho.
 
-* approx_ball draws uniformly on the unit sphere and uses the spherical tail
-  threshold alpha = tail_s_inverse(n, rho/m).  Every accepted point is
-  deterministically guaranteed a fraction (1 - alpha/sqrt(n))/2 of the ball
-  relaxation value; no relaxation has to be solved.
-* approx_general_fixed draws sign vectors weighted by the diagonal of a
-  lifted relaxation matrix (ball or box geometry) with the sub-Gaussian
-  threshold alpha = sqrt(2 ln(m/rho)).  Anchors whose weighted image is zero
-  are exempt from the acceptance test; requiring them would make the strict
-  predicate unsatisfiable.
-* approx_box_simplified specializes the previous sampler to box instances,
-  where the lift's diagonal is constant and cancels: plain sign vectors are
-  tested directly against the anchors, and no relaxation is solved.
+* approx_ball draws uniform unit vectors, tests sqrt(n) z against the
+  anchors with alpha = tail_s_inverse(n, rho/m), and needs no relaxation.
+  Every accepted point is guaranteed a fraction (1 - alpha/sqrt(n))/2 of
+  the ball relaxation value.
+* approx_general_fixed draws sign vectors, tests them against the anchors
+  scaled by the square root of a lifted relaxation diagonal (ball or box)
+  with alpha = sqrt(2 ln(m/rho)), and rescales the accepted vector.
+* approx_box_simplified is that sign sampler at unit scale: on the box the
+  lift's diagonal is constant and cancels, so no relaxation is solved.
 
-All samplers take an explicit numpy Generator and consume it in fixed-size
-batches, so reruns with an equally seeded generator reproduce draws exactly,
-and a second call with the same generator continues where an exhausted
-budget stopped.
+Every sampler consumes an explicit numpy Generator in fixed-size batches, so
+an equally seeded generator reproduces the draws exactly, and a second call
+with the same generator continues where an exhausted budget stopped.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from .relax import (
     solve_cr_ball,
     solve_cr_box,
 )
-from .tail import tail_s_inverse
+from .tail import sample_sphere, tail_s_inverse
 
 __all__ = [
     "ApproxResult",
@@ -96,19 +93,54 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-def _rejection_sample(draw_batch, accept_rows, budget):
-    """Generic batched rejection loop -> (sample, raw draws, accepted index)."""
+def _rejection(draw, directions, alpha, budget, stretch=1.0):
+    """First row z of the batches draw(k) with stretch * (z . d_i) < alpha * ||d_i||
+    for every nonzero row d_i of `directions` -> (z, raw draws, accepted index).
+
+    Zero rows are exempt: they could never satisfy the strict inequality.
+    The accepted index is 1-based; raw draws counts whole batches.
+    """
+    norms = np.linalg.norm(directions, axis=1)
+    active = norms > 0.0
+    D = directions[active].T
+    thresholds = alpha * norms[active]
     seen = 0
     while seen < budget:
         take = min(_BATCH, budget - seen)
-        batch = draw_batch(take)
-        good = accept_rows(batch)
-        hits = np.flatnonzero(good)
+        batch = draw(take)
+        proj = batch @ D
+        if stretch != 1.0:
+            proj *= stretch
+        hits = np.flatnonzero(np.all(proj < thresholds, axis=1))
         if hits.size:
             k = int(hits[0])
             return batch[k].copy(), seen + take, seen + k + 1
         seen += take
     raise SampleBudgetExceeded(seen)
+
+
+def _sign_rejection(inst, rho, rng, budget, directions):
+    """Sign-vector draws tested against `directions` with alpha = sqrt(2 ln(m/rho))
+    -> (alpha, accepted sign vector, raw draws, accepted index)."""
+    n = inst.dim
+    alpha = math.sqrt(2.0 * math.log(inst.m / rho))
+
+    def signs(k):
+        return rng.integers(0, 2, size=(k, n)).astype(float) * 2.0 - 1.0
+
+    return (alpha, *_rejection(signs, directions, alpha, budget))
+
+
+def _result(inst, x, raw, at, alpha, bound_r, refined_bound=None):
+    return ApproxResult(
+        x_tilde=x,
+        f_value=evaluate(inst, x).value,
+        raw_samples=raw,
+        accepted_at=at,
+        alpha_used=alpha,
+        bound_r=bound_r,
+        refined_bound=refined_bound,
+    )
 
 
 def approx_ball(
@@ -134,38 +166,13 @@ def approx_ball(
     rho = _check_rho(rho)
     ratio = rho / inst.m
     alpha = tail_s_inverse(n, ratio) if ratio < 0.5 else 0.0
-
-    norms = np.linalg.norm(inst.points, axis=1)
-    active = norms > 0.0
-    P = inst.points[active]
-    thresholds = alpha * norms[active]
     root_n = math.sqrt(n)
-
-    def draw_batch(k):
-        raw = rng.standard_normal((k, n))
-        nrm = np.linalg.norm(raw, axis=1)
-        nrm[nrm == 0.0] = 1.0
-        return raw / nrm[:, None]
-
-    def accept_rows(batch):
-        if P.shape[0] == 0:
-            return np.ones(batch.shape[0], dtype=bool)
-        return np.all(root_n * (batch @ P.T) < thresholds[None, :], axis=1)
-
-    x, raw, at = _rejection_sample(draw_batch, accept_rows, budget)
-    return ApproxResult(
-        x_tilde=x,
-        f_value=evaluate(inst, x).value,
-        raw_samples=raw,
-        accepted_at=at,
-        alpha_used=alpha,
-        bound_r=0.5 * (1.0 - alpha / root_n),
-        refined_bound=bound_refined(inst, rho),
+    x, raw, at = _rejection(
+        lambda k: sample_sphere(n, rng, k), inst.points, alpha, budget, stretch=root_n
     )
-
-
-def _rademacher(rng, shape):
-    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+    return _result(
+        inst, x, raw, at, alpha, 0.5 * (1.0 - alpha / root_n), bound_refined(inst, rho)
+    )
 
 
 def approx_general_fixed(
@@ -184,48 +191,19 @@ def approx_general_fixed(
     which can be negative, in which case the guarantee is vacuous.
     """
     rho = _check_rho(rho)
-    n, m = inst.dim, inst.m
+    n = inst.dim
+    ball = inst.geometry is Geometry.BALL
     if relaxation is None:
-        relaxation = (
-            solve_cr_ball(inst) if inst.geometry is Geometry.BALL else solve_cr_box(inst)
-        )
+        relaxation = solve_cr_ball(inst) if ball else solve_cr_box(inst)
     if lift is None:
-        lift = (
-            lift_ball(relaxation, inst)
-            if inst.geometry is Geometry.BALL
-            else lift_box(relaxation, inst)
-        )
-    alpha = math.sqrt(2.0 * math.log(m / rho))
-    diag = np.maximum(np.diag(lift.entries)[:n], 0.0)
-    scale = np.sqrt(diag)
-    corner = float(lift.entries[n, n])
-    images = inst.points * scale[None, :]  # rows are the weighted anchor images
-    image_norms = np.linalg.norm(images, axis=1)
-    # only anchors with a nonzero image can satisfy the strict inequality
-    active = image_norms > 0.0
-    Bm = images[active]
-    thresholds = alpha * image_norms[active]
-
-    def draw_batch(k):
-        return _rademacher(rng, (k, n))
-
-    def accept_rows(batch):
-        if Bm.shape[0] == 0:
-            return np.ones(batch.shape[0], dtype=bool)
-        return np.all(batch @ Bm.T < thresholds[None, :], axis=1)
-
-    xi, raw, at = _rejection_sample(draw_batch, accept_rows, budget)
-    x = scale * xi / math.sqrt(corner)
-    g1 = gamma1(lift)
-    return ApproxResult(
-        x_tilde=x,
-        f_value=evaluate(inst, x).value,
-        raw_samples=raw,
-        accepted_at=at,
-        alpha_used=alpha,
-        bound_r=0.5 * (1.0 - alpha * math.sqrt(g1)),
-        refined_bound=None,
+        lift = lift_ball(relaxation, inst) if ball else lift_box(relaxation, inst)
+    scale = np.sqrt(np.maximum(np.diag(lift.entries)[:n], 0.0))
+    # the sign draws are tested against the weighted anchor images
+    alpha, xi, raw, at = _sign_rejection(
+        inst, rho, rng, budget, inst.points * scale[None, :]
     )
+    x = scale * xi / math.sqrt(float(lift.entries[n, n]))
+    return _result(inst, x, raw, at, alpha, 0.5 * (1.0 - alpha * math.sqrt(gamma1(lift))))
 
 
 def approx_box_simplified(
@@ -243,31 +221,8 @@ def approx_box_simplified(
     if inst.geometry is not Geometry.BOX:
         raise ValueError("approx_box_simplified requires a box-geometry instance")
     rho = _check_rho(rho)
-    n, m = inst.dim, inst.m
-    alpha = math.sqrt(2.0 * math.log(m / rho))
-    norms = np.linalg.norm(inst.points, axis=1)
-    active = norms > 0.0
-    P = inst.points[active]
-    thresholds = alpha * norms[active]
-
-    def draw_batch(k):
-        return _rademacher(rng, (k, n))
-
-    def accept_rows(batch):
-        if P.shape[0] == 0:
-            return np.ones(batch.shape[0], dtype=bool)
-        return np.all(batch @ P.T < thresholds[None, :], axis=1)
-
-    xi, raw, at = _rejection_sample(draw_batch, accept_rows, budget)
-    return ApproxResult(
-        x_tilde=xi,
-        f_value=evaluate(inst, xi).value,
-        raw_samples=raw,
-        accepted_at=at,
-        alpha_used=alpha,
-        bound_r=0.5 * (1.0 - alpha / math.sqrt(n)),
-        refined_bound=None,
-    )
+    alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, inst.points)
+    return _result(inst, xi, raw, at, alpha, 0.5 * (1.0 - alpha / math.sqrt(inst.dim)))
 
 
 def bound_refined(inst: DispersionInstance, rho: float) -> float:

@@ -95,9 +95,9 @@ def _cmd_relax(args) -> int:
 
 
 _ALGOS = {
-    "ball": lambda inst, rho, rng: approx_ball(inst, rho, rng),
-    "general": lambda inst, rho, rng: approx_general_fixed(inst, rho, rng),
-    "box": lambda inst, rho, rng: approx_box_simplified(inst, rho, rng),
+    "ball": approx_ball,
+    "general": approx_general_fixed,
+    "box": approx_box_simplified,
 }
 
 

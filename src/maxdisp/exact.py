@@ -11,10 +11,11 @@ is the nonnegative root of ||x* + alpha d||^2 = 1.
 
 Finding such a direction is itself polynomial.  With m <= n anchors one
 always exists: take d orthogonal to the first m - 1 anchors and flip it
-against the last one.  In general, maximizing |x_j| over the cone
-{p_i . x <= 0 for all i} intersected with ||x||_inf <= 1 (two small linear
-programs per coordinate) either produces a nonzero solution or proves that
-the cone is trivial, in which case this solver does not apply.
+against the last one.  In general, one linear program minimizes
+(sum_i p_i) . x over the cone {p_i . x <= 0 for all i} intersected with
+||x||_inf <= 1.  Its optimum is negative unless the cone equals null(P), the
+null space of the anchor matrix, which is then searched directly; if both
+come up empty the cone is trivial and this solver does not apply.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "solve_exact",
 ]
 
-# coordinate maxima this small count as zero (sign system considered infeasible)
+# LP solutions this small count as zero (sign system considered infeasible)
 _ZERO_THRESHOLD = 1e-9
 # required slack for the returned unit direction: p_i . d <= _SLACK_TOL
 _SLACK_TOL = 1e-10
@@ -116,40 +117,46 @@ def _direction_small_m(points):
     return _finalize_direction(points, d)
 
 
-def _direction_linear_programs(points):
-    """General case: maximize |x_j| over the box-truncated sign cone."""
+def _direction_linear_program(points):
+    """General case: one LP over the box-truncated sign cone, else null(P).
+
+    On the cone every p_i . x <= 0, so (sum_i p_i) . x <= 0 with equality
+    only where P x = 0.  Minimizing it therefore finds a nonzero cone point
+    unless the whole cone lies in null(P), which the fallback covers.
+    """
     m, n = points.shape
-    bounds = [(-1.0, 1.0)] * n
-    for j in range(n):
-        for sign in (-1.0, 1.0):
-            c = np.zeros(n)
-            c[j] = sign  # linprog minimizes, so this maximizes -sign * x_j
-            res = linprog(c, A_ub=points, b_ub=np.zeros(m), bounds=bounds, method="highs")
-            if not res.success:
-                continue
-            if abs(res.x[j]) <= _ZERO_THRESHOLD:
-                continue
-            d = _finalize_direction(points, np.asarray(res.x, dtype=float))
-            if d is not None:
-                return d
-    return None
+    res = linprog(
+        points.sum(axis=0),
+        A_ub=points,
+        b_ub=np.zeros(m),
+        bounds=[(-1.0, 1.0)] * n,
+        method="highs",
+    )
+    if res.success and float(np.max(np.abs(res.x))) > _ZERO_THRESHOLD:
+        d = _finalize_direction(points, np.asarray(res.x, dtype=float))
+        if d is not None:
+            return d
+    basis = null_space(points)
+    if basis.shape[1] == 0:
+        return None
+    return _finalize_direction(points, basis[:, 0])
 
 
 def find_sign_direction(inst: DispersionInstance) -> np.ndarray | None:
     """A unit vector d with p_i . d <= 0 for every anchor, or None.
 
     Uses the orthogonal-complement construction when m <= n (always
-    succeeds there) and per-coordinate linear programs otherwise.  The
-    returned direction satisfies every inequality with slack at most 1e-10;
-    None means every coordinate maximum over the cone was below 1e-9, i.e.
-    the cone is numerically trivial.
+    succeeds there) and otherwise one linear program over the cone with a
+    null-space fallback.  The returned direction satisfies every inequality
+    with slack at most 1e-10; None means neither route found a usable
+    nonzero direction, i.e. the cone is numerically trivial.
     """
     points = inst.points
     if inst.m <= inst.dim:
         d = _direction_small_m(points)
         if d is not None:
             return d
-    return _direction_linear_programs(points)
+    return _direction_linear_program(points)
 
 
 def solve_exact(inst: DispersionInstance, tol: float | None = None) -> ExactResult:

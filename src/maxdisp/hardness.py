@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import DispersionInstance, Geometry
+from .oracle import solve_global
 
 __all__ = [
     "HardnessArtifact",
@@ -40,6 +41,7 @@ __all__ = [
     "g_of_t",
     "build_hardness",
     "bqp_enumerate",
+    "solve_bqp_relaxcheck",
     "partition_min_imbalance",
     "qcqp_value",
     "qcqp_grid_value",
@@ -202,6 +204,34 @@ def bqp_enumerate(Q: np.ndarray, with_argmax: bool = False):
     return value, x
 
 
+def solve_bqp_relaxcheck(Q: np.ndarray, grid_points: int = 21) -> float:
+    """Exact max of x^T Q x over {-1, 1}^n, spot-checked against a box grid.
+
+    The grid check covers [-1, 1]^n with grid_points per axis for n <= 4 and
+    a fixed pseudorandom cloud otherwise; since Q is convex the box maximum
+    is attained at a sign vector, so any grid point beating the enumeration
+    (beyond the grid modulus) indicates a bug and raises RuntimeError.
+    """
+    Q = np.asarray(Q, dtype=float)
+    n = Q.shape[0]
+    value = bqp_enumerate(Q)
+    if n <= 4:
+        axes = [np.linspace(-1.0, 1.0, grid_points)] * n
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    else:
+        mesh = np.random.default_rng(12345).uniform(-1.0, 1.0, size=(200_000, n))
+    grid_vals = np.einsum("ki,ij,kj->k", mesh, Q, mesh)
+    # crude modulus: gradient bound 2 ||Q|| sqrt(n) times the grid half-step
+    half_step = 1.0 / (grid_points - 1) if n <= 4 else 0.0
+    modulus = 2.0 * np.linalg.norm(Q, 2) * math.sqrt(n) * half_step * math.sqrt(n)
+    if float(grid_vals.max()) > value + modulus + 1e-9:
+        raise RuntimeError(
+            "box grid beat the sign enumeration: "
+            f"{grid_vals.max():.12g} > {value:.12g} + modulus"
+        )
+    return value
+
+
 def partition_min_imbalance(a) -> int:
     """min |a^T x| over sign vectors, via subset-sum reachability (independent
     of bqp_enumerate); 0 exactly when the partition problem is feasible."""
@@ -284,8 +314,6 @@ def verify_reduction(
     Q = (Lambda - a a^T) / 4; when the partition is feasible this equals
     2 - 2/sqrt(trace(Lambda)).
     """
-    from .oracle import solve_global  # local import to avoid a cycle
-
     a = artifact.a.astype(float)
     Q = 0.25 * (np.diag(artifact.lambda_diag) - np.outer(a, a))
     bqp = bqp_enumerate(Q)

@@ -10,22 +10,22 @@ endpoint or at a crossing of two parabolas, all of which are enumerable.
 The result is a heuristic ground truth, not a certificate; tests always pair
 it with the relaxation upper bound.  Intended for small dimensions (n <= 6
 is comfortable; the hardness reduction uses it up to n around 12).
-
-solve_bqp_relaxcheck cross-checks the exact {-1, 1}^n maximizer of a convex
-quadratic against a box grid, for use by the hardness tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .instance import DispersionInstance, Geometry, evaluate_batch
+from .tail import sample_sphere
 
-__all__ = ["OracleResult", "solve_global", "solve_bqp_relaxcheck"]
+__all__ = ["OracleResult", "solve_global"]
 
 _CHUNK = 50_000
 _TOP_PER_CHUNK = 8
@@ -53,10 +53,7 @@ def _feasible_samples(inst, count, rng):
     """count feasible points: sphere/interior mix on the ball, corner/uniform on the box."""
     n = inst.dim
     if inst.geometry is Geometry.BALL:
-        raw = rng.standard_normal((count, n))
-        nrms = np.linalg.norm(raw, axis=1)
-        nrms[nrms == 0.0] = 1.0
-        pts = raw / nrms[:, None]
+        pts = sample_sphere(n, rng, count)
         half = count // 2
         # first half stays on the sphere, second half is pushed inside with
         # the radius law that makes the points uniform in the ball
@@ -129,11 +126,7 @@ def _stationary_candidates(inst):
     conditions on the multipliers are not checked; spurious candidates are
     harmless because every candidate is scored by a full evaluation.
     """
-    from itertools import combinations
-
-    from scipy.linalg import null_space
-
-    n, m = inst.dim, inst.m
+    m = inst.m
     P, w = inst.points, inst.weights
     p_sq = np.einsum("ij,ij->i", P, P)
     out = []
@@ -471,7 +464,7 @@ def solve_global(
             continue
         for radius in (0.08, 0.25):
             for _ in range(4):
-                hop = x2 + radius * rng.standard_normal(n := inst.dim)
+                hop = x2 + radius * rng.standard_normal(inst.dim)
                 if inst.geometry is Geometry.BALL:
                     hn = float(np.linalg.norm(hop))
                     if hn > 1.0:
@@ -500,33 +493,3 @@ def solve_global(
     return OracleResult(
         x_best=best_x, value=best_val, method_trace=trace, certified_radius=note
     )
-
-
-def solve_bqp_relaxcheck(Q: np.ndarray, grid_points: int = 21) -> float:
-    """Exact max of x^T Q x over {-1, 1}^n, spot-checked against a box grid.
-
-    The grid check covers [-1, 1]^n with grid_points per axis for n <= 4 and
-    a fixed pseudorandom cloud otherwise; since Q is convex the box maximum
-    is attained at a sign vector, so any grid point beating the enumeration
-    (beyond the grid modulus) indicates a bug and raises RuntimeError.
-    """
-    from .hardness import bqp_enumerate  # local import to avoid a cycle
-
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    value = bqp_enumerate(Q)
-    if n <= 4:
-        axes = [np.linspace(-1.0, 1.0, grid_points)] * n
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    else:
-        mesh = np.random.default_rng(12345).uniform(-1.0, 1.0, size=(200_000, n))
-    grid_vals = np.einsum("ki,ij,kj->k", mesh, Q, mesh)
-    # crude modulus: gradient bound 2 ||Q|| sqrt(n) times the grid half-step
-    half_step = 1.0 / (grid_points - 1) if n <= 4 else 0.0
-    modulus = 2.0 * np.linalg.norm(Q, 2) * math.sqrt(n) * half_step * math.sqrt(n)
-    if float(grid_vals.max()) > value + modulus + 1e-9:
-        raise RuntimeError(
-            "box grid beat the sign enumeration: "
-            f"{grid_vals.max():.12g} > {value:.12g} + modulus"
-        )
-    return value

@@ -81,18 +81,6 @@ class LiftedMatrix:
     def dim(self) -> int:
         return self.entries.shape[0] - 1
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def constraint_products(self, inst: DispersionInstance) -> np.ndarray:
-        """w_i * <A_i, Z> for A_i = [[I, -p_i], [-p_i^T, ||p_i||^2]]; all >= 1."""
-        n = self.dim
-        z_block_trace = float(np.trace(self.entries[:n, :n]))
-        z_cross = self.entries[:n, n]
-        z_corner = float(self.entries[n, n])
-        p_sq = np.einsum("ij,ij->i", inst.points, inst.points)
-        return inst.weights * (z_block_trace - 2.0 * inst.points @ z_cross + p_sq * z_corner)
-
 
 class _Certificate:
     """Best feasible point (scored by F) and best simplex bound (scored by U).

@@ -30,7 +30,6 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "TailQuery",
     "TailBoundReport",
     "tail_s",
     "tail_s_inverse",
@@ -98,34 +97,18 @@ def tail_s_inverse(n: int, beta: float) -> float:
     return mid
 
 
-def sample_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One point uniform on the unit sphere in R^n (normalized Gaussian draw)."""
+def sample_sphere(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count points uniform on the unit sphere in R^n, as a (count, n) array.
+
+    Each row is a normalized standard normal draw; a row whose draw has zero
+    norm (probability zero) is left at zero rather than divided by zero.
+    """
     if int(n) != n or int(n) < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
-    n = int(n)
-    while True:
-        v = rng.standard_normal(n)
-        nrm = np.linalg.norm(v)
-        if nrm > 0.0:
-            return v / nrm
-
-
-@dataclass(frozen=True)
-class TailQuery:
-    """A resolved tail evaluation: forward (alpha given) or inverse (beta given)."""
-
-    n: int
-    alpha: float | None
-    beta: float | None
-    value: float
-
-    @classmethod
-    def forward(cls, n: int, alpha: float) -> "TailQuery":
-        return cls(n=int(n), alpha=float(alpha), beta=None, value=tail_s(n, alpha))
-
-    @classmethod
-    def inverse(cls, n: int, beta: float) -> "TailQuery":
-        return cls(n=int(n), alpha=None, beta=float(beta), value=tail_s_inverse(n, beta))
+    raw = rng.standard_normal((count, int(n)))
+    nrm = np.linalg.norm(raw, axis=1)
+    nrm[nrm == 0.0] = 1.0
+    return raw / nrm[:, None]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Polynomial-time exact ball solver: applicability, tightness, certificates."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import maxdisp.exact
 from maxdisp import (
     DispersionInstance,
     Geometry,
@@ -118,3 +121,29 @@ def test_more_anchors_than_dim_can_still_apply():
     assert abs(np.linalg.norm(res.x_opt) - 1.0) < 1e-10
     rel = res.relaxation
     assert res.value >= rel.zeta_star - 1e-6 * max(1.0, rel.zeta_star)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("lp_returns_zero", [False, True])
+def test_line_cone_with_more_anchors_than_dim(n, lp_returns_zero, monkeypatch):
+    # P = [Q; -Q] pins the sign cone to the line null(Q), with m > n.  Every
+    # point of the cone is then an LP optimum, the zero vector included (an
+    # interior-point solver may return it), and the null-space fallback must
+    # find the line
+    rng = np.random.default_rng(n)
+    Q = rng.normal(size=(n - 1, n))
+    pts = np.vstack([Q, -Q])
+    inst = DispersionInstance(
+        dim=n, points=pts, weights=rng.uniform(0.3, 3.0, 2 * n - 2), geometry=Geometry.BALL
+    )
+    if lp_returns_zero:
+        monkeypatch.setattr(
+            maxdisp.exact,
+            "linprog",
+            lambda c, **kw: SimpleNamespace(success=True, x=np.zeros(n), fun=0.0),
+        )
+    d = find_sign_direction(inst)
+    assert d is not None
+    assert float(np.max(pts @ d)) <= 1e-10
+    res = solve_exact(inst)
+    assert res.value >= res.relaxation.zeta_star - 1e-9 * max(1.0, res.relaxation.zeta_star)

@@ -127,3 +127,24 @@ def test_relaxcheck_agrees_with_enumeration():
         M = rng.normal(size=(n, n))
         Q = M @ M.T + n * np.eye(n)
         assert abs(solve_bqp_relaxcheck(Q) - bqp_enumerate(Q)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        ([(0, 1, 1), (0, -1, -1)], (9.292, 8.131)),
+        ([(3, 0), (-3, 0), (3, 0), (-3, 3)], (3.627, 1.698, 1.324, 8.664)),
+    ],
+    ids=["antiparallel", "duplicate"],
+)
+def test_degenerate_anchors_reach_relaxation(points, weights):
+    # antiparallel and repeated anchors make the active-set enumeration
+    # degenerate, so its best stationary point falls well short here; the
+    # relaxation is tight on both, and the search must still close the gap
+    pts = np.asarray(points, dtype=float)
+    inst = DispersionInstance(
+        dim=pts.shape[1], points=pts, weights=np.asarray(weights), geometry=Geometry.BALL
+    )
+    rel = solve_cr_ball(inst)
+    res = solve_global(inst, budget=2000, rng=np.random.default_rng(0))
+    assert res.value >= rel.zeta_star * (1.0 - 1e-12)

@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate
 
 from maxdisp import (
-    TailQuery,
     sample_sphere,
     tail_bound_check,
     tail_s,
@@ -97,23 +96,17 @@ def test_gaussian_style_bound_default_grid():
     assert report.checked == 39 * 80
 
 
-def test_tail_query_views():
-    q = TailQuery.forward(5, 1.3)
-    assert q.n == 5 and q.alpha == 1.3
-    assert abs(q.value - tail_s(5, 1.3)) == 0.0
-    r = TailQuery.inverse(5, 0.2)
-    assert r.beta == 0.2 and r.alpha is None
-    assert abs(tail_s(5, r.value) - 0.2) < 1e-10
-
-
 def test_sample_sphere_properties():
     rng = np.random.default_rng(9)
-    pts = np.array([sample_sphere(6, rng) for _ in range(200)])
+    pts = sample_sphere(6, rng, 200)
+    assert pts.shape == (200, 6)
     norms = np.linalg.norm(pts, axis=1)
     assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
-    a = sample_sphere(4, np.random.default_rng(1))
-    b = sample_sphere(4, np.random.default_rng(1))
-    assert np.array_equal(a, b)
+    # rows are the generator's normal draws, normalized, in stream order
+    raw = np.random.default_rng(1).standard_normal((3, 4))
+    a = sample_sphere(4, np.random.default_rng(1), 3)
+    assert np.array_equal(a, raw / np.linalg.norm(raw, axis=1)[:, None])
+    assert sample_sphere(4, np.random.default_rng(1), 0).shape == (0, 4)
 
 
 def test_rejects_bad_dim():
