@@ -6,6 +6,8 @@ The ascent exploits the objective's structure: along any segment inside the
 feasible region every term w_i ||x + t d - p_i||^2 is an upward parabola in
 t, so the exact maximum of their minimum over the segment sits at a segment
 endpoint or at a crossing of two parabolas, all of which are enumerable.
+One batched pass finds the line maxima toward all targets of an ascent round.
+method_trace holds the search's counts and the seconds spent in each stage.
 
 The result is a heuristic ground truth, not a certificate; tests always pair
 it with the relaxation upper bound.  Intended for small dimensions (n <= 6
@@ -15,7 +17,9 @@ is comfortable; the hardness reduction uses it up to n around 12).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +37,9 @@ _REFINE_ROUNDS = 60
 _NEAR_ACTIVE_TARGETS = 6
 _GAIN_TOL = 1e-13
 _STATIONARY_M_CAP = 12
+_CROSSING_TERMS = 40  # above this many anchors, line maxima use a grid too
+_EVAL_CELLS = 16384
+_STAGES = ("seeds", "stationary", "sampling", "ascent", "polish")
 
 
 @dataclass(frozen=True)
@@ -97,19 +104,16 @@ def _seed_candidates(inst):
         if s is not None:
             seeds.append(s)
     m = inst.m
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    if len(pairs) <= 300:
-        for i, j in pairs:
+    if m * (m - 1) // 2 <= 300:
+        for i, j in combinations(range(m), 2):
             s = far_point(wp[i] + wp[j])
             if s is not None:
                 seeds.append(s)
     if m <= 14:
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(j + 1, m):
-                    s = far_point(wp[i] + wp[j] + wp[k])
-                    if s is not None:
-                        seeds.append(s)
+        for i, j, k in combinations(range(m), 3):
+            s = far_point(wp[i] + wp[j] + wp[k])
+            if s is not None:
+                seeds.append(s)
     return seeds
 
 
@@ -210,29 +214,40 @@ def _far_target(inst, x, anchor):
     return target
 
 
-def _segment_max(inst, x, d):
-    """Exact maximum of the objective along x + t d, t in [0, 1].
+@lru_cache(maxsize=None)
+def _pairs(k):
+    """Read-only index arrays (i, j), i < j, of all pairs among k terms."""
+    ii, jj = np.triu_indices(k, k=1)
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
 
-    Enumerates 0, 1, and all pairwise crossing points of the per-anchor
-    parabolas; for very large m, crossings are only enumerated among the 40
-    currently smallest terms and a uniform fallback grid is added.
+
+def _segment_max(inst, x, D):
+    """Exact maxima of the objective along x + t d, t in [0, 1], for each row d of D.
+
+    Returns arrays (t, v), one entry per row: the smallest maximizer and the
+    maximum.  Candidates are a base grid ({0, 1}) and every pairwise crossing
+    of the per-anchor parabolas inside (0, 1); for m > 40, crossings are only
+    enumerated among the 40 smallest terms at x and the base grid is 257
+    uniform points.  All rows' candidates form one flat array.
     """
     w = inst.weights
     diff = x - inst.points  # (m, n)
-    a = w * float(d @ d)
-    b = 2.0 * w * (diff @ d)
+    # one product per row: a batched D @ diff.T may round differently
+    A = w * np.array([[float(d @ d)] for d in D])
+    B = 2.0 * w * np.array([diff @ d for d in D])
     c = w * np.einsum("ij,ij->i", diff, diff)
 
-    if len(w) > 40:
-        keep = np.argsort(c)[:40]
-        ts = [np.linspace(0.0, 1.0, 257)]
+    if len(w) > _CROSSING_TERMS:
+        keep = np.argsort(c)[:_CROSSING_TERMS]
+        grid = np.linspace(0.0, 1.0, 257)
     else:
         keep = np.arange(len(w))
-        ts = [np.array([0.0, 1.0])]
-    ii, jj = np.triu_indices(keep.size, k=1)
+        grid = np.array([0.0, 1.0])
+    ii, jj = _pairs(keep.size)
     ii, jj = keep[ii], keep[jj]
-    qa = a[ii] - a[jj]
-    qb = b[ii] - b[jj]
+    qa = A[:, ii] - A[:, jj]
+    qb = B[:, ii] - B[:, jj]
     qc = c[ii] - c[jj]
     lin = np.abs(qa) <= 1e-14
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -241,19 +256,29 @@ def _segment_max(inst, x, d):
         sq = np.sqrt(np.maximum(disc, 0.0))
         t_plus = (-qb + sq) / (2.0 * qa)
         t_minus = (-qb - sq) / (2.0 * qa)
-    roots = np.concatenate(
-        [t_lin[lin], t_plus[~lin & (disc >= 0.0)], t_minus[~lin & (disc >= 0.0)]]
-    )
-    roots = roots[np.isfinite(roots)]
-    ts.append(roots[(roots > 0.0) & (roots < 1.0)])
-    ts.append(np.array([0.0, 1.0]))
-    t_all = np.unique(np.concatenate(ts))
-    vals = np.min(
-        a[:, None] * t_all[None, :] ** 2 + b[:, None] * t_all[None, :] + c[:, None],
-        axis=0,
-    )
-    k = int(np.argmax(vals))
-    return float(t_all[k]), float(vals[k])
+    rows, g = D.shape[0], grid.size
+    cand = np.empty((rows, g + 3 * ii.size))
+    cand[:, :g] = grid
+    np.concatenate((t_lin, t_plus, t_minus), axis=1, out=cand[:, g:])
+    use = (cand > 0.0) & (cand < 1.0)
+    use[:, :g] = True
+    quad = ~lin & (disc >= 0.0)
+    use[:, g:] &= np.concatenate((lin, quad, quad), axis=1)
+    t_flat = cand[use]
+    counts = use.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(rows), counts)
+    # evaluated in slices of about _EVAL_CELLS (candidate, term) cells, so
+    # that large m does not spill the temporaries out of cache
+    vals = np.empty(t_flat.size)
+    step = max(1, _EVAL_CELLS // len(w))
+    for s in range(0, t_flat.size, step):
+        o, tc = owner[s : s + step], t_flat[s : s + step, None]
+        np.min(A[o] * tc**2 + B[o] * tc + c, axis=1, out=vals[s : s + step])
+    v = np.maximum.reduceat(vals, starts)
+    # smallest t attaining the maximum: the tie-break of a sorted scan
+    t = np.minimum.reduceat(np.where(vals == v[owner], t_flat, np.inf), starts)
+    return t, v
 
 
 def _steepest_direction(inst, x, scale):
@@ -321,9 +346,7 @@ def _steepest_refine(inst, x, val):
             if nrm > 1.0 - 1e-9:
                 # snap onto the sphere so the tangency constraint engages
                 x = x / nrm
-                val = float(
-                    np.min(w * np.einsum("ij,ij->i", x - inst.points, x - inst.points))
-                )
+                val = float(np.min(w * np.einsum("ij,ij->i", x - inst.points, x - inst.points)))
         scale = max(1.0, abs(val))
         d = _steepest_direction(inst, x, scale)
         if d is None:
@@ -331,7 +354,7 @@ def _steepest_refine(inst, x, val):
         t_max = _max_feasible_step(inst, x, d)
         if t_max <= 1e-14:
             break
-        t, v = _segment_max(inst, x, t_max * d)
+        t, v = (float(a[0]) for a in _segment_max(inst, x, (t_max * d)[None, :]))
         if v <= val + _GAIN_TOL * scale:
             break
         x = x + t * (t_max * d)
@@ -344,9 +367,7 @@ def _ascend(inst, x0):
     """Deterministic local ascent by exact line maxima toward far targets."""
     x = np.asarray(x0, dtype=float).copy()
     w = inst.weights
-    val = float(
-        np.min(w * np.einsum("ij,ij->i", x - inst.points, x - inst.points))
-    )
+    val = float(np.min(w * np.einsum("ij,ij->i", x - inst.points, x - inst.points)))
     steps = 0
     for _ in range(_REFINE_ROUNDS):
         diff = x - inst.points
@@ -364,13 +385,13 @@ def _ascend(inst, x0):
             corner = np.sign(x)
             corner[corner == 0.0] = 1.0
             targets.append(corner)
-        best_gain = 0.0
-        best_move = None
-        for target in targets:
-            d = target - x
-            if float(d @ d) < 1e-24:
-                continue
-            t, v = _segment_max(inst, x, d)
+        D = np.asarray(targets).reshape(-1, x.size) - x
+        D = D[[float(d @ d) >= 1e-24 for d in D]]
+        if not len(D):
+            break
+        ts, vs = _segment_max(inst, x, D)
+        best_gain, best_move = 0.0, None
+        for d, t, v in zip(D, ts.tolist(), vs.tolist()):
             if v > val + best_gain:
                 best_gain = v - val
                 best_move = x + t * d
@@ -401,12 +422,14 @@ def solve_global(
     if rng is None:
         rng = np.random.default_rng(0)
 
+    clock = [time.perf_counter()]
     seeds = _seed_candidates(inst)
     seed_vals = evaluate_batch(inst, np.asarray(seeds))
     keep = np.argsort(seed_vals)[-40:]
     candidates = [seeds[int(i)] for i in keep]
     best_x = seeds[0]
     best_val = float(seed_vals[0])
+    clock.append(time.perf_counter())
 
     stationary = 0
     if inst.geometry is Geometry.BALL and inst.m <= _STATIONARY_M_CAP:
@@ -419,6 +442,7 @@ def solve_global(
             if vals[hi] > best_val:
                 best_val = float(vals[hi])
                 best_x = points[hi].copy()
+    clock.append(time.perf_counter())
 
     sampled = 0
     best_sampled = -math.inf
@@ -435,6 +459,7 @@ def solve_global(
             best_val = float(vals[hi])
             best_x = pts[hi].copy()
         sampled += take
+    clock.append(time.perf_counter())
 
     refine_steps = 0
     refined = []
@@ -446,21 +471,24 @@ def solve_global(
             best_val = val
             best_x = x.copy()
     refined.sort(key=lambda pair: pair[0], reverse=True)
+    clock.append(time.perf_counter())
 
     # the LP-driven stage is costlier, so only the strongest finishers get it,
     # each with a perturbation cascade to escape shallow neighboring basins.
-    # When the active-set enumeration above was exhaustive the landscape is
-    # already covered and the cascade would only re-discover the same maxima,
-    # so it is skipped and the LP polish kept for the two best finishers.
-    exhaustive = stationary > 0
+    # When the active-set enumeration ran, the cascade is skipped and only the
+    # two best finishers are polished.  That is a cost choice, not a coverage
+    # guarantee: on antiparallel or repeated anchors the enumeration falls
+    # 10-33 % short and the better points come from the ascent, so an early
+    # exit must compare against the relaxation's zeta_star + gap instead.
+    enumerated = stationary > 0
     polish_steps = 0
-    for val, x in refined[: 2 if exhaustive else 6]:
+    for val, x in refined[: 2 if enumerated else 6]:
         x2, val2, steps = _steepest_refine(inst, x, val)
         polish_steps += steps
         if val2 > best_val:
             best_val = val2
             best_x = x2.copy()
-        if exhaustive:
+        if enumerated:
             continue
         for radius in (0.08, 0.25):
             for _ in range(4):
@@ -478,6 +506,7 @@ def solve_global(
                     if val3 > best_val:
                         best_val = val3
                         best_x = x3.copy()
+    clock.append(time.perf_counter())
     trace = {
         "samples": sampled,
         "best_sampled": best_sampled,
@@ -486,6 +515,7 @@ def solve_global(
         "refine_steps": refine_steps,
         "polish_steps": polish_steps,
     }
+    trace.update({f"seconds_{s}": t1 - t0 for s, t0, t1 in zip(_STAGES, clock, clock[1:])})
     note = (
         f"heuristic: best of {sampled} samples and {len(candidates)} refined "
         "starts; pair with a relaxation upper bound for soundness"

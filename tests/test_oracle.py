@@ -1,5 +1,7 @@
 """Heuristic global oracle: agreement with certified routes, budget contract."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from maxdisp import (
     solve_exact,
     solve_global,
 )
+from maxdisp.oracle import _segment_max
 
 
 def _halfspace_instance(n, m, seed):
@@ -105,8 +108,13 @@ def test_box_grid_cross_check():
 
 def test_trace_bookkeeping():
     inst = generate_random(4, 6, seed=3)
+    t0 = time.perf_counter()
     res = solve_global(inst, budget=60_000, rng=np.random.default_rng(7))
+    wall = time.perf_counter() - t0
     tr = res.method_trace
+    stages = [tr[f"seconds_{s}"] for s in ("seeds", "stationary", "sampling", "ascent", "polish")]
+    assert min(stages) >= 0.0
+    assert sum(stages) <= wall
     for key in (
         "samples",
         "best_sampled",
@@ -148,3 +156,92 @@ def test_degenerate_anchors_reach_relaxation(points, weights):
     rel = solve_cr_ball(inst)
     res = solve_global(inst, budget=2000, rng=np.random.default_rng(0))
     assert res.value >= rel.zeta_star * (1.0 - 1e-12)
+
+
+def _reference_segment_max(inst, x, d):
+    # the single-direction line maximum the batched kernel replaced, kept
+    # verbatim as the reference it must match bit for bit
+    w = inst.weights
+    diff = x - inst.points  # (m, n)
+    a = w * float(d @ d)
+    b = 2.0 * w * (diff @ d)
+    c = w * np.einsum("ij,ij->i", diff, diff)
+
+    if len(w) > 40:
+        keep = np.argsort(c)[:40]
+        ts = [np.linspace(0.0, 1.0, 257)]
+    else:
+        keep = np.arange(len(w))
+        ts = [np.array([0.0, 1.0])]
+    ii, jj = np.triu_indices(keep.size, k=1)
+    ii, jj = keep[ii], keep[jj]
+    qa = a[ii] - a[jj]
+    qb = b[ii] - b[jj]
+    qc = c[ii] - c[jj]
+    lin = np.abs(qa) <= 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lin = np.where(np.abs(qb) > 0.0, -qc / qb, np.nan)
+        disc = qb * qb - 4.0 * qa * qc
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t_plus = (-qb + sq) / (2.0 * qa)
+        t_minus = (-qb - sq) / (2.0 * qa)
+    roots = np.concatenate(
+        [t_lin[lin], t_plus[~lin & (disc >= 0.0)], t_minus[~lin & (disc >= 0.0)]]
+    )
+    roots = roots[np.isfinite(roots)]
+    ts.append(roots[(roots > 0.0) & (roots < 1.0)])
+    ts.append(np.array([0.0, 1.0]))
+    t_all = np.unique(np.concatenate(ts))
+    vals = np.min(
+        a[:, None] * t_all[None, :] ** 2 + b[:, None] * t_all[None, :] + c[:, None],
+        axis=0,
+    )
+    k = int(np.argmax(vals))
+    return float(t_all[k]), float(vals[k])
+
+
+def _segment_cases(count, seed):
+    """Seeded (instance, x, D) cases: both geometries, m from 1 to 120,
+    duplicated anchors, directions toward far targets, random or tiny, and
+    dyadic data on which several t attain the maximum."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        geom = (Geometry.BALL, Geometry.BOX)[k % 2]
+        n = int(rng.integers(1, 9))
+        m = (1, 2, 7, 12, 40, 41, 120)[k % 7]
+        exact = k % 5 == 4  # small dyadic data: exact arithmetic, so values tie
+        pts = rng.integers(-3, 4, size=(m, n)) / 2.0 if exact else rng.normal(size=(m, n))
+        w = rng.integers(1, 3, m).astype(float) if exact else rng.uniform(0.3, 3.0, m)
+        if m > 1 and k % 3 == 0:
+            dup = rng.integers(0, m, size=max(1, m // 3))
+            pts[dup[1:]] = pts[dup[0]]
+            w[dup[1:]] = w[dup[0]]  # identical, tied parabolas
+        inst = DispersionInstance(dim=n, points=pts, weights=w, geometry=geom)
+        x = rng.uniform(-1.0, 1.0, n)
+        if geom is Geometry.BALL:
+            x /= max(1.0, float(np.linalg.norm(x)))
+            far = -pts / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-300)
+        else:
+            far = -np.sign(pts) + (pts == 0.0)
+        rows = int(rng.integers(1, 8))
+        D = far[rng.integers(0, m, size=rows)] - x
+        D[rng.random(rows) < 0.3] = rng.normal(size=n)
+        if exact:
+            x = rng.integers(-1, 2, size=n) / 2.0
+            D = rng.integers(-4, 5, size=(rows, n)) / 2.0
+        D[rng.random(rows) < 0.15] *= 10.0 ** rng.uniform(-11.0, -5.0)
+        yield inst, x, D
+
+
+def test_segment_max_matches_reference_bitwise():
+    cases = 0
+    for inst, x, D in _segment_cases(350, seed=2024):
+        ts, vs = _segment_max(inst, x, D)
+        assert ts.shape == vs.shape == (D.shape[0],)
+        for r, d in enumerate(D):
+            t_ref, v_ref = _reference_segment_max(inst, x, d)
+            assert (float(ts[r]), float(vs[r])) == (t_ref, v_ref), (inst.m, r)
+            t_one, v_one = _segment_max(inst, x, D[r : r + 1])
+            assert (t_one[0], v_one[0]) == (ts[r], vs[r])
+            cases += 1
+    assert cases >= 1000
