@@ -316,6 +316,16 @@ def _check_positive_value(result: RelaxationResult):
         )
 
 
+def _lift(result: RelaxationResult, diagonal: np.ndarray) -> LiftedMatrix:
+    """(1/zeta) * ([x; 1][x; 1]^T + Diag(diagonal, 0)), exactly symmetric."""
+    v = np.append(result.x_star, 1.0)
+    Z = np.outer(v, v)
+    n = diagonal.shape[0]
+    Z[np.arange(n), np.arange(n)] += diagonal
+    Z /= result.zeta_star
+    return LiftedMatrix(entries=Z)
+
+
 def lift_ball(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatrix:
     """Feasible lifted matrix for the ball geometry from a relaxation optimum.
 
@@ -326,15 +336,9 @@ def lift_ball(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatri
     _check_positive_value(result)
     if inst.geometry is not Geometry.BALL:
         raise ValueError("lift_ball requires a ball-geometry instance")
-    n = inst.dim
     x = np.asarray(result.x_star, dtype=float)
-    v = np.concatenate([x, [1.0]])
-    Z = np.outer(v, v)
     slack = max(0.0, 1.0 - float(x @ x))
-    Z[np.arange(n), np.arange(n)] += slack / n
-    Z /= result.zeta_star
-    Z = 0.5 * (Z + Z.T)
-    return LiftedMatrix(entries=Z)
+    return _lift(result, np.full(inst.dim, slack / inst.dim))
 
 
 def lift_box(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatrix:
@@ -346,14 +350,8 @@ def lift_box(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatrix
     _check_positive_value(result)
     if inst.geometry is not Geometry.BOX:
         raise ValueError("lift_box requires a box-geometry instance")
-    n = inst.dim
     x = np.asarray(result.x_star, dtype=float)
-    v = np.concatenate([x, [1.0]])
-    Z = np.outer(v, v)
-    Z[np.arange(n), np.arange(n)] += np.maximum(0.0, 1.0 - x * x)
-    Z /= result.zeta_star
-    Z = 0.5 * (Z + Z.T)
-    return LiftedMatrix(entries=Z)
+    return _lift(result, np.maximum(0.0, 1.0 - x * x))
 
 
 def gamma1(Z) -> float:

@@ -12,9 +12,11 @@ spherical-cap integral
               / (2 int_0^1 (1 - t^2)^((n-3)/2) dt)
 
 and it vanishes beyond a = sqrt(n).  Substituting u = t^2 turns the integral
-into a regularized incomplete beta function, which is how it is computed for
-n >= 3; n = 2 uses the closed form arccos(a / sqrt(2)) / pi.  Either way the
-absolute accuracy is far better than the 1e-10 promised by the contract.
+into half the complement of a regularized incomplete beta function,
+S(n, a) = (1 - I_{a^2/n}(1/2, (n-1)/2)) / 2.  For n >= 3 it is computed
+with scipy's complement `betaincc`, which keeps full relative accuracy deep
+in the tail; n = 2 uses the closed form arccos(a / sqrt(2)) / pi.  The
+inverse reads the same formula backwards through `betainccinv`.
 
 Two classical estimates are exposed through checks and used by the sampling
 algorithms: S(n, a) < exp(-0.45 a^2) for every n >= 2 and a > 0, and the
@@ -36,9 +38,6 @@ __all__ = [
     "sample_sphere",
     "tail_bound_check",
 ]
-
-_INVERSE_TOL = 1e-10
-_INVERSE_MAX_ITER = 200
 
 
 def _check_n(n) -> int:
@@ -70,31 +69,24 @@ def tail_s(n: int, alpha: float) -> float:
     if n == 2:
         return float(np.arccos(alpha / math.sqrt(2.0)) / np.pi)
     # u = t^2 maps the cap integral onto a regularized incomplete beta tail
-    return float(0.5 * (1.0 - special.betainc(0.5, 0.5 * (n - 1), alpha * alpha / n)))
+    return float(0.5 * special.betaincc(0.5, 0.5 * (n - 1), alpha * alpha / n))
 
 
 def tail_s_inverse(n: int, beta: float) -> float:
     """Solve tail_s(n, alpha) = beta for alpha, beta in the open interval (0, 1/2).
 
-    Bisection on (0, sqrt(n)); stops once |tail_s - beta| <= 1e-10, within at
-    most 200 iterations.
+    Closed form alpha = sqrt(n * u) with u the inverse of the incomplete-beta
+    complement at 2 beta, for every n >= 2 (at n = 2 it agrees with the
+    arcsine law).  The result lies strictly inside (0, sqrt(n)): where u
+    rounds to 1 deep in the tail it is capped one ulp below sqrt(n), so that
+    the sampler bound 1/2 (1 - alpha/sqrt(n)) stays positive.
     """
     n = _check_n(n)
     beta = float(beta)
     if not (0.0 < beta < 0.5):
         raise ValueError(f"beta must lie strictly between 0 and 0.5, got {beta!r}")
-    lo, hi = 0.0, math.sqrt(n)
-    mid = 0.5 * hi
-    for _ in range(_INVERSE_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        val = tail_s(n, mid)
-        if abs(val - beta) <= _INVERSE_TOL:
-            return mid
-        if val > beta:  # tail too heavy, move right
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    alpha = math.sqrt(n * special.betainccinv(0.5, 0.5 * (n - 1), 2.0 * beta))
+    return min(alpha, math.nextafter(math.sqrt(n), 0.0))
 
 
 def sample_sphere(n: int, rng: np.random.Generator, count: int) -> np.ndarray:

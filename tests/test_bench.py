@@ -14,9 +14,9 @@ GOLDEN = (
     "m,v_oracle,v_cr,gen_vmax,gen_vmin,gen_vave,gen_lb,"
     "new_vmax,new_vmin,new_vave,new_lb\n"
     "6,3.43798265864,3.43798265864,1.45782570859,1.00778503425,1.17322129464,"
-    "-0.251957099874,1.78433407454,1.3406584682,1.5008525047,0.890900075937\n"
+    "-0.251957099874,1.78433407454,1.3406584682,1.5008525047,0.890900076077\n"
     "13,2.15001234149,2.1756736716,2.0910506016,0.977640149276,1.51330805412,"
-    "-0.61013761541,1.39109607729,1.10849293364,1.27687409675,0.36997086638\n"
+    "-0.61013761541,1.39109607729,1.10849293364,1.27687409675,0.36997086616\n"
 )
 
 

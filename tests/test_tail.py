@@ -54,6 +54,11 @@ def test_matches_quadrature():
         alpha = float(rng.uniform(0.0, math.sqrt(n)))
         ref = _tail_quad(n, alpha)
         assert abs(tail_s(n, alpha) - ref) < 1e-9, (n, alpha)
+    # deep in the tail the absolute check says nothing; compare relatively
+    for n, alpha in ((50, 6.0), (50, 6.5), (30, 5.0), (10, 3.0)):
+        ref = _tail_quad(n, alpha)
+        assert ref > 0.0
+        assert abs(tail_s(n, alpha) / ref - 1.0) <= 1e-9, (n, alpha)
 
 
 def test_monotone_in_alpha():
@@ -71,6 +76,32 @@ def test_inverse_round_trip():
         alpha = tail_s_inverse(n, beta)
         assert 0.0 < alpha < math.sqrt(n)
         assert abs(tail_s(n, alpha) - beta) < 1e-10
+
+
+def _ulps(x: float, k: int, toward: float) -> float:
+    for _ in range(k):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def test_inverse_relative_accuracy_deep_tail():
+    # the sampler spends a per-anchor budget rho/m, so the inverse must hit
+    # beta relatively (or, where S is too steep, bracket it within 4 ulps)
+    rng = np.random.default_rng(5)
+    cases = [(2, 1e-11), (50, 1e-12), (5, 1e-11), (60, 1e-30), (2, 0.4999)]
+    for _ in range(3000):
+        n = int(rng.integers(2, 61))
+        beta = float(10.0 ** rng.uniform(-30.0, math.log10(0.5)))
+        if beta < 0.5:
+            cases.append((n, beta))
+    for n, beta in cases:
+        alpha = tail_s_inverse(n, beta)
+        assert 0.0 < alpha < math.sqrt(n), (n, beta, alpha)
+        if abs(tail_s(n, alpha) / beta - 1.0) <= 1e-9:
+            continue
+        below = tail_s(n, _ulps(alpha, 4, 0.0))
+        above = tail_s(n, _ulps(alpha, 4, math.inf))
+        assert below >= beta >= above, (n, beta, alpha)
 
 
 def test_inverse_anchor_and_domain():
