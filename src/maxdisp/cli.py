@@ -74,10 +74,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_relax(args) -> int:
     inst = read_instance(args.instance)
-    if inst.geometry is Geometry.BALL:
-        rr = solve_cr_ball(inst, tol=args.tol) if args.tol else solve_cr_ball(inst)
-    else:
-        rr = solve_cr_box(inst, tol=args.tol) if args.tol else solve_cr_box(inst)
+    solve = solve_cr_ball if inst.geometry is Geometry.BALL else solve_cr_box
+    rr = solve(inst, tol=args.tol)
     payload = {
         "geometry": inst.geometry.value,
         "zeta_star": rr.zeta_star,
@@ -200,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="estimate or (when applicable) solve an instance exactly")
     p.add_argument("instance", help="path to an instance JSON file")
     p.add_argument("--exact", action="store_true", help="use the sign-direction exact method")
-    p.add_argument("--budget", type=int, default=200_000, help="oracle sample budget")
+    p.add_argument("--budget", type=int, default=200_000,
+                   help="oracle sample budget; unused on balls with m <= 12 (enumerated)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_solve)
 

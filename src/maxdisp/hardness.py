@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .instance import DispersionInstance, Geometry
 from .oracle import solve_global
@@ -50,7 +51,6 @@ __all__ = [
 
 _BRACKET_LO = 1e-10
 _BRACKET_HI = 1.0 - 1e-10
-_BISECT_MAX_ITER = 200
 _BQP_MAX_N = 22
 
 
@@ -99,52 +99,17 @@ class HardnessArtifact:
     g_residual: float
 
 
-def build_hardness(a, tol: float = 1e-13) -> HardnessArtifact:
+def build_hardness(a) -> HardnessArtifact:
     """Instantiate the reduction for an integer vector a with nonzero entries.
 
-    Bisects g on [1e-10, 1 - 1e-10] (at most 200 iterations, refined by a few
-    secant steps) aiming at |g(t*)| <= tol; the best residual achieved is
-    recorded in the artifact.  The emitted instance has 2n unit-weight
-    anchors +-L_i on the unit sphere and ball geometry.
+    Finds the root t* of g by Brent's method on [1e-10, 1 - 1e-10], to full
+    double precision, and records the residual g(t*) in the artifact.  The
+    emitted instance has 2n unit-weight anchors +-L_i on the unit sphere and
+    ball geometry.
     """
     arr = _check_a(a)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    lo, hi = _BRACKET_LO, _BRACKET_HI
-    g_lo, g_hi = g_of_t(arr, lo), g_of_t(arr, hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise RuntimeError(
-            f"no sign change on the bracket: g({lo}) = {g_lo:.3g}, g({hi}) = {g_hi:.3g}"
-        )
-    best_t, best_g = (lo, g_lo) if abs(g_lo) < abs(g_hi) else (hi, g_hi)
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket exhausted at float resolution
-            break
-        g_mid = g_of_t(arr, mid)
-        if abs(g_mid) < abs(best_g):
-            best_t, best_g = mid, g_mid
-        if abs(g_mid) <= 0.1 * tol:
-            break
-        if g_mid < 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    # secant polish can shave the last factor off the residual
-    t0, t1 = lo, hi
-    f0, f1 = g_lo, g_hi
-    for _ in range(4):
-        if f1 == f0:
-            break
-        t2 = t1 - f1 * (t1 - t0) / (f1 - f0)
-        if not (_BRACKET_LO < t2 < _BRACKET_HI):
-            break
-        f2 = g_of_t(arr, t2)
-        if abs(f2) < abs(best_g):
-            best_t, best_g = t2, f2
-        t0, f0, t1, f1 = t1, f1, t2, f2
-
-    t_star = best_t
+    # xtol only keeps brentq's absolute floor out of the way: rtol rules
+    t_star = brentq(lambda t: g_of_t(arr, t), _BRACKET_LO, _BRACKET_HI, xtol=1e-300)
     beta = _beta_of_t(t_star)
     gamma = _gamma_of_t(t_star)
     lam = 0.5 + 0.5 * np.sqrt(1.0 + 4.0 * arr**2 * gamma)
@@ -160,7 +125,7 @@ def build_hardness(a, tol: float = 1e-13) -> HardnessArtifact:
         lambda_diag=lam,
         L=L,
         instance=inst,
-        g_residual=float(best_g),
+        g_residual=g_of_t(arr, t_star),
     )
 
 

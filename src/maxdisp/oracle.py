@@ -1,17 +1,18 @@
-"""Brute-force search oracle for desk-scale instances.
+"""Global oracle for desk-scale instances, by one of two routes.
 
-solve_global maximizes the dispersion objective by dense feasible sampling
-followed by deterministic local ascent from the most promising candidates.
-The ascent exploits the objective's structure: along any segment inside the
-feasible region every term w_i ||x + t d - p_i||^2 is an upward parabola in
-t, so the exact maximum of their minimum over the segment sits at a segment
-endpoint or at a crossing of two parabolas, all of which are enumerable.
-One batched pass finds the line maxima toward all targets of an ascent round.
-method_trace holds the search's counts and the seconds spent in each stage.
+On a ball with m <= 12 anchors, solve_global lists every active set and
+returns the best of their stationary points.  Every other instance is
+searched: dense feasible sampling, then deterministic local ascent from the
+most promising candidates.  The ascent exploits the objective's structure:
+along any segment inside the feasible region every term w_i ||x + t d - p_i||^2
+is an upward parabola in t, so the exact maximum of their minimum over the
+segment sits at an endpoint or at a crossing of two parabolas, all of which
+are enumerable; one batched pass finds the line maxima toward all targets of
+an ascent round.  method_trace holds the counts and each stage's seconds.
 
-The result is a heuristic ground truth, not a certificate; tests always pair
-it with the relaxation upper bound.  Intended for small dimensions (n <= 6
-is comfortable; the hardness reduction uses it up to n around 12).
+The result is a reference value, not a certificate; tests always pair it
+with the relaxation upper bound.  Intended for small dimensions (n <= 6 is
+comfortable; the hardness reduction uses it up to n around 12).
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .instance import DispersionInstance, Geometry, evaluate_batch
+from .instance import DispersionInstance, Geometry, evaluate, evaluate_batch
+from .relax import _tie_set
 from .tail import sample_sphere
 
 __all__ = ["OracleResult", "solve_global"]
@@ -121,11 +122,12 @@ def _stationary_candidates(inst):
     """Every stationary point of the maximin objective on the ball, by
     enumerating active subsets (ball geometry, m <= _STATIONARY_M_CAP).
 
-    A local maximum with active anchors A either sits on the sphere, where
-    stationarity forces x into span{p_i : i in A} and the equalization
-    equations are linear in the span coefficients and the common value v
-    (leaving a one-parameter family to intersect with the sphere), or in the
-    interior, where x is an affine combination of the anchors and the only
+    A local maximum with active anchors A sits on the sphere or inside.  On
+    the sphere each term is the relaxation's piece a_i - b_i.x, so the ties of
+    A cut out an affine set, and the common value is stationary at the set's
+    two sphere points along the set's part of b_0, or along any direction of
+    the set where b_0.x is constant on it (antiparallel or repeated anchors).
+    Inside, x is an affine combination of the anchors and the only
     nonlinearity is the scalar u = ||x||^2, determined by a quadratic.  Sign
     conditions on the multipliers are not checked; spurious candidates are
     harmless because every candidate is scored by a full evaluation.
@@ -133,41 +135,26 @@ def _stationary_candidates(inst):
     m = inst.m
     P, w = inst.points, inst.weights
     p_sq = np.einsum("ij,ij->i", P, P)
+    a, B = w * (1.0 + p_sq), 2.0 * w[:, None] * P
     out = []
     for k in range(1, m + 1):
         for A in combinations(range(m), k):
             idx = list(A)
+            c, dirs, room = _tie_set(a, B, idx)
+            # a tie set that is one point lies on the tie line of a subset
+            if room >= 0.0 and len(dirs):
+                b0 = B[idx[0]]
+                g = dirs @ b0
+                gn = float(np.linalg.norm(g))
+                flat = gn <= 1e-12 * max(1.0, float(np.linalg.norm(b0)))
+                step = math.sqrt(room) * (dirs[0] if flat else dirs.T @ g / gn)
+                for x in (c + step, c - step):
+                    out.append(x / float(np.linalg.norm(x)))
+
+            # interior branch: x = PA^T theta, sum theta = 1, u = |x|^2
             PA, wA, sqA = P[idx], w[idx], p_sq[idx]
             G = PA.T  # span basis, n x k
             L = -2.0 * (wA[:, None] * PA) @ G  # k x k
-
-            # sphere branch: [L | -1] z = -wA (1 + |p|^2), z = (y, v)
-            M = np.hstack([L, -np.ones((k, 1))])
-            rhs = -(wA * (1.0 + sqA))
-            z0, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-            null = null_space(M)
-            if null.shape[1] >= 1:
-                zd = null[:, 0]
-                x0 = G @ z0[:k]
-                xd = G @ zd[:k]
-                qa = float(xd @ xd)
-                qb = 2.0 * float(x0 @ xd)
-                qc = float(x0 @ x0) - 1.0
-                if qa > 1e-16:
-                    disc = qb * qb - 4.0 * qa * qc
-                    if disc >= 0.0:
-                        sq = math.sqrt(disc)
-                        for t in ((-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)):
-                            x = x0 + t * xd
-                            nrm = float(np.linalg.norm(x))
-                            if nrm > 0.0:
-                                out.append(x / nrm)
-                elif qc <= 0.0:
-                    nrm = float(np.linalg.norm(x0))
-                    if nrm > 0.0:
-                        out.append(x0 / nrm)
-
-            # interior branch: x = PA^T theta, sum theta = 1, u = |x|^2
             M2 = np.zeros((k + 1, k + 1))
             M2[:k, :k] = L
             M2[:k, k] = -1.0
@@ -403,12 +390,30 @@ def _ascend(inst, x0):
     return x, val, steps
 
 
-def solve_global(
-    inst: DispersionInstance,
-    budget: int = 200_000,
-    rng: np.random.Generator | None = None,
-) -> OracleResult:
-    """Best dispersion value found by sampling `budget` feasible points plus ascent.
+def _trace(seconds, **counts):
+    """method_trace: the six counts (0 unless given) and every stage's seconds."""
+    trace = {"samples": 0, "best_sampled": -math.inf, "stationary_candidates": 0,
+             "candidates_refined": 0, "refine_steps": 0, "polish_steps": 0, **counts}
+    return trace | {f"seconds_{s}": seconds.get(s, 0.0) for s in _STAGES}
+
+
+def _enumerate(inst):
+    """Best stationary point over all active sets: the route for small balls."""
+    t0 = time.perf_counter()
+    points = np.asarray(_stationary_candidates(inst))
+    x = points[int(np.argmax(evaluate_batch(inst, points)))].copy()
+    trace = _trace({"stationary": time.perf_counter() - t0}, stationary_candidates=len(points))
+    note = (
+        f"enumerated: best of {len(points)} stationary points over every active "
+        "set; pair with a relaxation upper bound for soundness"
+    )
+    return OracleResult(
+        x_best=x, value=evaluate(inst, x).value, method_trace=trace, certified_radius=note
+    )
+
+
+def _search(inst, budget, rng):
+    """Seeds, `budget` feasible samples, ascent from the best starts, LP polish.
 
     Sampling is consumed in fixed 50k chunks so that enlarging the budget
     with the same generator extends, rather than reshuffles, the draw stream:
@@ -417,11 +422,6 @@ def solve_global(
     the final value is usually, but not provably, budget-monotone; it never
     falls below best_sampled.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-
     clock = [time.perf_counter()]
     seeds = _seed_candidates(inst)
     seed_vals = evaluate_batch(inst, np.asarray(seeds))
@@ -429,19 +429,6 @@ def solve_global(
     candidates = [seeds[int(i)] for i in keep]
     best_x = seeds[0]
     best_val = float(seed_vals[0])
-    clock.append(time.perf_counter())
-
-    stationary = 0
-    if inst.geometry is Geometry.BALL and inst.m <= _STATIONARY_M_CAP:
-        points = _stationary_candidates(inst)
-        stationary = len(points)
-        if points:
-            vals = evaluate_batch(inst, np.asarray(points))
-            hi = int(np.argmax(vals))
-            candidates.append(points[hi].copy())
-            if vals[hi] > best_val:
-                best_val = float(vals[hi])
-                best_x = points[hi].copy()
     clock.append(time.perf_counter())
 
     sampled = 0
@@ -474,22 +461,14 @@ def solve_global(
     clock.append(time.perf_counter())
 
     # the LP-driven stage is costlier, so only the strongest finishers get it,
-    # each with a perturbation cascade to escape shallow neighboring basins.
-    # When the active-set enumeration ran, the cascade is skipped and only the
-    # two best finishers are polished.  That is a cost choice, not a coverage
-    # guarantee: on antiparallel or repeated anchors the enumeration falls
-    # 10-33 % short and the better points come from the ascent, so an early
-    # exit must compare against the relaxation's zeta_star + gap instead.
-    enumerated = stationary > 0
+    # each with a perturbation cascade to escape shallow neighboring basins
     polish_steps = 0
-    for val, x in refined[: 2 if enumerated else 6]:
+    for val, x in refined[:6]:
         x2, val2, steps = _steepest_refine(inst, x, val)
         polish_steps += steps
         if val2 > best_val:
             best_val = val2
             best_x = x2.copy()
-        if enumerated:
-            continue
         for radius in (0.08, 0.25):
             for _ in range(4):
                 hop = x2 + radius * rng.standard_normal(inst.dim)
@@ -507,15 +486,11 @@ def solve_global(
                         best_val = val3
                         best_x = x3.copy()
     clock.append(time.perf_counter())
-    trace = {
-        "samples": sampled,
-        "best_sampled": best_sampled,
-        "stationary_candidates": stationary,
-        "candidates_refined": len(candidates),
-        "refine_steps": refine_steps,
-        "polish_steps": polish_steps,
-    }
-    trace.update({f"seconds_{s}": t1 - t0 for s, t0, t1 in zip(_STAGES, clock, clock[1:])})
+    seconds = {s: t1 - t0 for s, t0, t1 in zip(("seeds", "sampling", "ascent", "polish"),
+                                                clock, clock[1:])}
+    trace = _trace(seconds, samples=sampled, best_sampled=best_sampled,
+                   candidates_refined=len(candidates), refine_steps=refine_steps,
+                   polish_steps=polish_steps)
     note = (
         f"heuristic: best of {sampled} samples and {len(candidates)} refined "
         "starts; pair with a relaxation upper bound for soundness"
@@ -523,3 +498,21 @@ def solve_global(
     return OracleResult(
         x_best=best_x, value=best_val, method_trace=trace, certified_radius=note
     )
+
+
+def solve_global(
+    inst: DispersionInstance,
+    budget: int = 200_000,
+    rng: np.random.Generator | None = None,
+) -> OracleResult:
+    """Best dispersion value found by the route the input selects.
+
+    A ball with m <= 12 anchors gets the best stationary point over every
+    active set, and `budget` and `rng` are unused.  Any other instance gets
+    the search, with `budget` feasible samples drawn from `rng`.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if inst.geometry is Geometry.BALL and inst.m <= _STATIONARY_M_CAP:
+        return _enumerate(inst)
+    return _search(inst, budget, np.random.default_rng(0) if rng is None else rng)

@@ -137,21 +137,29 @@ def _multipliers(B, x, act, ball):
     return out
 
 
-def _face_point(a, B, act):
-    """Best point of the ball at which every piece in act takes the same value.
+def _tie_set(a, B, act):
+    """The affine set on which every piece in act takes the same value.
 
-    The ties (b_i - b_0).x = a_i - a_0 cut out an affine set; its minimum-norm
-    point, stepped to the sphere along the part of -b_0 parallel to the set,
-    maximizes the common value (n + 1 independent ties leave just the point).
+    The ties (b_i - b_0).x = a_i - a_0 are solved by one SVD.  Returns their
+    minimum-norm point c, an orthonormal basis of the set's directions (rows,
+    all orthogonal to c) and the room 1 - ||c||^2 left inside the ball.
     """
-    b0 = B[act[0]]
-    u, sv, vt = np.linalg.svd(B[act[1:]] - b0)
+    u, sv, vt = np.linalg.svd(B[act[1:]] - B[act[0]])
     rank = int(np.sum(sv > 1e-12 * sv[0])) if sv.size else 0
-    x = vt[:rank].T @ ((u[:, :rank].T @ (a[act[1:]] - a[act[0]])) / sv[:rank])
-    g = vt[rank:] @ b0
-    gn, room = float(np.linalg.norm(g)), 1.0 - float(x @ x)
+    c = vt[:rank].T @ ((u[:, :rank].T @ (a[act[1:]] - a[act[0]])) / sv[:rank])
+    return c, vt[rank:], 1.0 - float(c @ c)
+
+
+def _face_point(a, B, act):
+    """Best point of the ball at which every piece in act takes the same value:
+    the tie set's minimum-norm point, stepped to the sphere along the set's part
+    of -b_0 (n + 1 independent ties leave just the point)."""
+    b0 = B[act[0]]
+    x, dirs, room = _tie_set(a, B, act)
+    g = dirs @ b0
+    gn = float(np.linalg.norm(g))
     if room > 0.0 and gn > 1e-12 * max(1.0, float(np.linalg.norm(b0))):
-        x = x - vt[rank:].T @ g * (math.sqrt(room) / gn)
+        x = x - dirs.T @ g * (math.sqrt(room) / gn)
     return x
 
 

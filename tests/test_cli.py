@@ -87,6 +87,13 @@ def test_relax_with_lift(ball_path, capsys):
     assert 0.0 < doc["gamma1"] <= 1.0
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_relax_rejects_nonpositive_tol(ball_path, capsys, tol):
+    # a zero tolerance is an error, not a request for the default
+    assert main(["relax", ball_path, "--tol", tol]) == 1
+    assert capsys.readouterr().err.startswith("error: tol must be positive")
+
+
 def test_approx_csv_shape_and_determinism(ball_path, capsys):
     argv = ["approx", ball_path, "--algo", "ball", "--rho", "0.9", "--runs", "3", "--seed", "5"]
     assert main(argv) == 0

@@ -18,7 +18,7 @@ from maxdisp import (
     solve_exact,
     solve_global,
 )
-from maxdisp.oracle import _segment_max
+from maxdisp.oracle import _search, _segment_max, _stationary_candidates
 
 
 def _halfspace_instance(n, m, seed):
@@ -76,7 +76,8 @@ def test_sampled_best_monotone_in_budget():
 
 
 def test_zero_budget_still_works():
-    inst = generate_random(4, 7, seed=12)
+    # a box instance takes the search route, where the budget is used
+    inst = generate_random(4, 7, seed=12, geometry=Geometry.BOX)
     res = solve_global(inst, budget=0, rng=np.random.default_rng(0))
     assert np.isfinite(res.value) and res.value > 0
     assert res.method_trace["samples"] == 0
@@ -106,26 +107,47 @@ def test_box_grid_cross_check():
     assert res.value >= grid_best - 1e-4 * max(1.0, grid_best)
 
 
+_STAGES = ("seeds", "stationary", "sampling", "ascent", "polish")
+_TRACE_KEYS = (
+    "samples",
+    "best_sampled",
+    "stationary_candidates",
+    "candidates_refined",
+    "refine_steps",
+    "polish_steps",
+) + tuple(f"seconds_{s}" for s in _STAGES)
+
+
 def test_trace_bookkeeping():
-    inst = generate_random(4, 6, seed=3)
+    # m > 12 on the ball takes the search route, so every stage runs but the
+    # enumeration
+    inst = generate_random(4, 13, seed=3)
     t0 = time.perf_counter()
     res = solve_global(inst, budget=60_000, rng=np.random.default_rng(7))
     wall = time.perf_counter() - t0
     tr = res.method_trace
-    stages = [tr[f"seconds_{s}"] for s in ("seeds", "stationary", "sampling", "ascent", "polish")]
+    assert set(tr) == set(_TRACE_KEYS)
+    stages = [tr[f"seconds_{s}"] for s in _STAGES]
     assert min(stages) >= 0.0
     assert sum(stages) <= wall
-    for key in (
-        "samples",
-        "best_sampled",
-        "stationary_candidates",
-        "candidates_refined",
-        "refine_steps",
-        "polish_steps",
-    ):
-        assert key in tr
-    assert tr["stationary_candidates"] > 0  # small ball instance, enumeration ran
-    assert isinstance(res.certified_radius, str)
+    assert tr["samples"] == 60_000 and tr["stationary_candidates"] == 0
+    assert tr["candidates_refined"] > 0 and tr["refine_steps"] > 0
+    assert tr["seconds_stationary"] == 0.0
+    assert res.certified_radius.startswith("heuristic")
+
+
+def test_small_ball_trace_names_the_enumeration():
+    inst = generate_random(4, 6, seed=3)
+    res = solve_global(inst, budget=60_000, rng=np.random.default_rng(7))
+    tr = res.method_trace
+    assert set(tr) == set(_TRACE_KEYS)
+    assert tr["samples"] == 0 and tr["stationary_candidates"] > 0
+    assert tr["best_sampled"] == -np.inf
+    assert tr["candidates_refined"] == tr["refine_steps"] == tr["polish_steps"] == 0
+    for stage in ("seeds", "sampling", "ascent", "polish"):  # skipped stages
+        assert tr[f"seconds_{stage}"] == 0.0
+    assert res.certified_radius.startswith("enumerated")
+    assert res.value == evaluate(inst, res.x_best).value
 
 
 def test_relaxcheck_agrees_with_enumeration():
@@ -146,16 +168,52 @@ def test_relaxcheck_agrees_with_enumeration():
     ids=["antiparallel", "duplicate"],
 )
 def test_degenerate_anchors_reach_relaxation(points, weights):
-    # antiparallel and repeated anchors make the active-set enumeration
-    # degenerate, so its best stationary point falls well short here; the
-    # relaxation is tight on both, and the search must still close the gap
+    # antiparallel and repeated anchors leave b_0.x constant on a tie set, or
+    # make ties repeat; the relaxation is tight on both, and the stationary
+    # points alone must close the gap
     pts = np.asarray(points, dtype=float)
     inst = DispersionInstance(
         dim=pts.shape[1], points=pts, weights=np.asarray(weights), geometry=Geometry.BALL
     )
     rel = solve_cr_ball(inst)
+    enumerated = evaluate_batch(inst, np.asarray(_stationary_candidates(inst)))
+    assert enumerated.max() >= rel.zeta_star * (1.0 - 1e-12)
     res = solve_global(inst, budget=2000, rng=np.random.default_rng(0))
     assert res.value >= rel.zeta_star * (1.0 - 1e-12)
+
+
+def _small_ball_cases(count, seed):
+    """Seeded ball instances with m <= 12: integer anchors with a duplicated
+    or antiparallel pair, anchors at radius 3, and dyadic data whose values
+    tie."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+        w = rng.uniform(0.3, 3.0, m)
+        if k % 3 == 0:
+            pts = rng.integers(-2, 3, size=(m, n)).astype(float)
+            i, j = rng.choice(m, 2, replace=False)
+            pts[j] = pts[i] if k % 2 else -pts[i]
+        elif k % 3 == 1:
+            pts = rng.normal(size=(m, n))
+            pts *= 3.0 / np.linalg.norm(pts, axis=1, keepdims=True)
+        else:
+            pts = rng.integers(-4, 5, size=(m, n)) / 2.0
+            w = rng.integers(1, 3, m).astype(float)
+        yield DispersionInstance(dim=n, points=pts, weights=w, geometry=Geometry.BALL)
+
+
+def test_enumeration_route_never_below_search():
+    # on small balls solve_global returns the best stationary point and runs
+    # no search; the search, called directly, must never beat it
+    cases = 0
+    for k, inst in enumerate(_small_ball_cases(100, seed=77)):
+        route = solve_global(inst)
+        assert route.method_trace["samples"] == 0
+        searched = _search(inst, 500, np.random.default_rng(k))
+        assert route.value >= searched.value * (1.0 - 1e-12), (k, inst.dim, inst.m)
+        cases += 1
+    assert cases == 100
 
 
 def _reference_segment_max(inst, x, d):
