@@ -18,7 +18,7 @@ import numpy as np
 from .approx import approx_ball, approx_general_fixed
 from .instance import DispersionInstance, Geometry
 from .oracle import solve_global
-from .relax import gamma1, lift_ball, solve_cr_ball
+from .relax import lift_ball, solve_cr_ball
 
 __all__ = ["BenchRecord", "CSV_HEADER", "run_benchmark", "to_csv", "to_markdown"]
 
@@ -95,7 +95,6 @@ def run_benchmark(
         )
         rr = solve_cr_ball(inst)
         lft = lift_ball(rr, inst)
-        g1 = gamma1(lft)
 
         oracle_rng = np.random.default_rng(np.random.SeedSequence([seed, m, 1]))
         orc = solve_global(inst, budget=oracle_budget, rng=oracle_rng)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .instance import DispersionInstance, Geometry, evaluate
+from .instance import DispersionInstance, Geometry, _sphere_step, evaluate
 from .relax import RelaxationResult, solve_cr_ball
 
 __all__ = [
@@ -178,12 +178,8 @@ def solve_exact(inst: DispersionInstance, tol: float | None = None) -> ExactResu
             "this instance"
         )
     relaxation = solve_cr_ball(inst, tol=tol)
-    x_star = relaxation.x_star
-    d_sq = float(d @ d)
-    proj = float(x_star @ d)
-    radicand = d_sq * max(0.0, 1.0 - float(x_star @ x_star)) + proj * proj
-    alpha = max(0.0, (-proj + math.sqrt(max(radicand, 0.0))) / d_sq)
-    x_opt = x_star + alpha * d
+    alpha = _sphere_step(relaxation.x_star, d)
+    x_opt = relaxation.x_star + alpha * d
     ev = evaluate(inst, x_opt)
     return ExactResult(
         x_opt=x_opt,

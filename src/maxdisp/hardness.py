@@ -147,25 +147,20 @@ def bqp_enumerate(Q: np.ndarray, with_argmax: bool = False):
     n2 = n - n1
 
     def signs(k):
-        cols = ((np.arange(2**k)[:, None] >> np.arange(k)[None, :]) & 1) * 2.0 - 1.0
-        return cols
+        return ((np.arange(2**k)[:, None] >> np.arange(k)[None, :]) & 1) * 2.0 - 1.0
 
     U = signs(n1)
     V = signs(n2)
-    quad_u = np.einsum("ki,ij,kj->k", U, Q[:n1, :n1], U) if n1 else np.zeros(1)
+    quad_u = np.einsum("ki,ij,kj->k", U, Q[:n1, :n1], U)
     quad_v = np.einsum("ki,ij,kj->k", V, Q[n1:, n1:], V)
-    if n1:
-        cross = U @ (2.0 * Q[:n1, n1:]) @ V.T
-        total = quad_u[:, None] + cross + quad_v[None, :]
-    else:
-        U = np.zeros((1, 0))
-        total = quad_v[None, :]
+    cross = U @ (2.0 * Q[:n1, n1:]) @ V.T
+    total = quad_u[:, None] + cross + quad_v[None, :]
     flat = int(np.argmax(total))
     iu, iv = divmod(flat, total.shape[1])
     value = float(total[iu, iv])
     if not with_argmax:
         return value
-    x = np.concatenate([U[iu], V[iv]]) if n1 else V[iv].copy()
+    x = np.concatenate([U[iu], V[iv]])
     return value, x
 
 

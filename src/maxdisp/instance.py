@@ -14,6 +14,7 @@ immutable, and all functions here are pure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -115,6 +116,21 @@ class DispersionInstance:
             and np.array_equal(self.points, other.points)
             and np.array_equal(self.weights, other.weights)
         )
+
+
+def _project(x: np.ndarray, ball: bool) -> np.ndarray:
+    """Nearest point of the region: x / max(1, ||x||) on the ball, clip on the box."""
+    return x / max(1.0, float(np.linalg.norm(x))) if ball else np.clip(x, -1.0, 1.0)
+
+
+def _sphere_step(x: np.ndarray, d: np.ndarray) -> float:
+    """Nonnegative root t of ||x + t d|| = 1 for x in the ball; 0 when d = 0."""
+    dd = float(d @ d)
+    if dd == 0.0:
+        return 0.0
+    xd = float(x @ d)
+    root = math.sqrt(xd * xd + dd * max(0.0, 1.0 - float(x @ x)))
+    return max(0.0, (root - xd) / dd)
 
 
 @dataclass(frozen=True)

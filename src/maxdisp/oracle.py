@@ -26,7 +26,8 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
-from .instance import DispersionInstance, Geometry, evaluate, evaluate_batch
+from .instance import (DispersionInstance, Geometry, _project, _sphere_step, evaluate,
+                       evaluate_batch)
 from .relax import _tie_set
 from .tail import sample_sphere
 
@@ -88,39 +89,26 @@ def _seed_candidates(inst):
     for j in range(n):
         seeds.append(eye[j].copy())
         seeds.append(-eye[j].copy())
-
-    def far_point(v):
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            return None
-        if inst.geometry is Geometry.BALL:
-            return -v / nrm
-        out = -np.sign(v)
-        out[out == 0.0] = 1.0
-        return out
-
     wp = inst.weights[:, None] * inst.points
-    for row in wp:
-        s = far_point(row)
-        if s is not None:
-            seeds.append(s)
+    sums = list(wp)
     m = inst.m
     if m * (m - 1) // 2 <= 300:
-        for i, j in combinations(range(m), 2):
-            s = far_point(wp[i] + wp[j])
-            if s is not None:
-                seeds.append(s)
+        sums += [wp[i] + wp[j] for i, j in combinations(range(m), 2)]
     if m <= 14:
-        for i, j, k in combinations(range(m), 3):
-            s = far_point(wp[i] + wp[j] + wp[k])
-            if s is not None:
-                seeds.append(s)
+        sums += [wp[i] + wp[j] + wp[k] for i, j, k in combinations(range(m), 3)]
+    # a zero vector points nowhere, so it seeds nothing
+    seeds += [_far_target(inst, seeds[0], v) for v in sums if np.linalg.norm(v) > 0.0]
     return seeds
 
 
 def _stationary_candidates(inst):
     """Every stationary point of the maximin objective on the ball, by
-    enumerating active subsets (ball geometry, m <= _STATIONARY_M_CAP).
+    enumerating active subsets of at most n + 1 anchors (ball geometry,
+    m <= _STATIONARY_M_CAP).
+
+    By Caratheodory a stationary point needs at most n active anchors on the
+    sphere and n + 1 inside, and a tie set of more anchors is also the tie set
+    of at most n + 1 of them, so larger sets add only least-squares points.
 
     A local maximum with active anchors A sits on the sphere or inside.  On
     the sphere each term is the relaxation's piece a_i - b_i.x, so the ties of
@@ -137,7 +125,7 @@ def _stationary_candidates(inst):
     p_sq = np.einsum("ij,ij->i", P, P)
     a, B = w * (1.0 + p_sq), 2.0 * w[:, None] * P
     out = []
-    for k in range(1, m + 1):
+    for k in range(1, min(m, inst.dim + 1) + 1):
         for A in combinations(range(m), k):
             idx = list(A)
             c, dirs, room = _tie_set(a, B, idx)
@@ -178,14 +166,18 @@ def _stationary_candidates(inst):
                 if u < -1e-12:
                     continue
                 x = x0 + max(u, 0.0) * x1
-                nrm = float(np.linalg.norm(x))
-                if nrm <= 1.0 + 1e-9:
-                    out.append(x if nrm <= 1.0 else x / nrm)
+                if np.linalg.norm(x) <= 1.0 + 1e-9:
+                    out.append(_project(x, True))
     return out
 
 
 def _far_target(inst, x, anchor):
-    """Feasible point maximizing the distance to one anchor (ball antipode or far corner)."""
+    """Feasible point maximizing the distance to one anchor (ball antipode or far corner).
+
+    Where the anchor leaves a choice (an anchor at the origin, or a zero
+    coordinate on the box), x breaks the tie: its own direction on the ball,
+    its own signs on the box.  None on the ball when both have zero norm.
+    """
     if inst.geometry is Geometry.BALL:
         nrm = float(np.linalg.norm(anchor))
         if nrm == 0.0:
@@ -311,12 +303,7 @@ def _steepest_direction(inst, x, scale):
 def _max_feasible_step(inst, x, d):
     """Largest t >= 0 with x + t d feasible."""
     if inst.geometry is Geometry.BALL:
-        dd = float(d @ d)
-        if dd == 0.0:
-            return 0.0
-        xd = float(x @ d)
-        slack = max(0.0, 1.0 - float(x @ x))
-        return (-xd + math.sqrt(max(xd * xd + dd * slack, 0.0))) / dd
+        return _sphere_step(x, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         room = np.where(d > 0.0, (1.0 - x) / d, np.where(d < 0.0, (-1.0 - x) / d, np.inf))
     t = float(np.min(room))
@@ -359,19 +346,10 @@ def _ascend(inst, x0):
     for _ in range(_REFINE_ROUNDS):
         diff = x - inst.points
         order = np.argsort(w * np.einsum("ij,ij->i", diff, diff))
-        targets = []
-        for idx in order[:_NEAR_ACTIVE_TARGETS]:
-            t = _far_target(inst, x, inst.points[idx])
-            if t is not None:
-                targets.append(t)
-        if inst.geometry is Geometry.BALL:
-            xn = float(np.linalg.norm(x))
-            if 1e-12 < xn < 1.0:
-                targets.append(x / xn)  # radial push to the sphere
-        else:
-            corner = np.sign(x)
-            corner[corner == 0.0] = 1.0
-            targets.append(corner)
+        # the nearest anchors, then a virtual anchor at the origin: its far
+        # target is the radial push to the sphere, or x's own corner of the box
+        anchors = [*inst.points[order[:_NEAR_ACTIVE_TARGETS]], 0.0]
+        targets = [t for p in anchors if (t := _far_target(inst, x, p)) is not None]
         D = np.asarray(targets).reshape(-1, x.size) - x
         D = D[[float(d @ d) >= 1e-24 for d in D]]
         if not len(D):
@@ -472,12 +450,7 @@ def _search(inst, budget, rng):
         for radius in (0.08, 0.25):
             for _ in range(4):
                 hop = x2 + radius * rng.standard_normal(inst.dim)
-                if inst.geometry is Geometry.BALL:
-                    hn = float(np.linalg.norm(hop))
-                    if hn > 1.0:
-                        hop /= hn
-                else:
-                    hop = np.clip(hop, -1.0, 1.0)
+                hop = _project(hop, inst.geometry is Geometry.BALL)
                 x3, val3, s3 = _ascend(inst, hop)
                 if val3 > best_val - 1e-9 * max(1.0, abs(best_val)):
                     x3, val3, s4 = _steepest_refine(inst, x3, val3)

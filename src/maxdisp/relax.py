@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from .instance import DispersionInstance, Geometry
+from .instance import DispersionInstance, Geometry, _project
 
 __all__ = [
     "RelaxationResult",
@@ -77,10 +77,6 @@ class LiftedMatrix:
 
     entries: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0] - 1
-
 
 class _Certificate:
     """Best feasible point (scored by F) and best simplex bound (scored by U).
@@ -95,7 +91,7 @@ class _Certificate:
         self.offer_bound(np.eye(1, a.size, int(np.argmin(a)))[0])
 
     def offer_point(self, x):
-        x = x / max(1.0, float(np.linalg.norm(x))) if self.ball else np.clip(x, -1, 1)
+        x = _project(x, self.ball)
         f = float(np.min(self.a - self.B @ x))
         if f > self.f:
             self.x, self.f = x, f
@@ -315,17 +311,18 @@ def solve_cr_box(
 # ---------------------------------------------------------------------------
 
 
-def _check_positive_value(result: RelaxationResult):
+def _lift(result: RelaxationResult, inst: DispersionInstance, geometry: Geometry,
+          diagonal: np.ndarray) -> LiftedMatrix:
+    """(1/zeta) * ([x; 1][x; 1]^T + Diag(diagonal, 0)), exactly symmetric, once
+    zeta is known positive and inst has the lift's geometry."""
     if result.zeta_star <= 0.0:
         raise NonPositiveValueError(
             "relaxation value is not strictly positive "
             f"(zeta_star = {result.zeta_star:.6g}); the problem assumes a positive "
             "optimum and no feasible lifted matrix exists otherwise"
         )
-
-
-def _lift(result: RelaxationResult, diagonal: np.ndarray) -> LiftedMatrix:
-    """(1/zeta) * ([x; 1][x; 1]^T + Diag(diagonal, 0)), exactly symmetric."""
+    if inst.geometry is not geometry:
+        raise ValueError(f"lift_{geometry.value} requires a {geometry.value}-geometry instance")
     v = np.append(result.x_star, 1.0)
     Z = np.outer(v, v)
     n = diagonal.shape[0]
@@ -341,12 +338,9 @@ def lift_ball(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatri
     which satisfies sum_j Z_jj = Z_{n+1,n+1} = 1/zeta and every constraint
     product w_i <A_i, Z> >= 1.
     """
-    _check_positive_value(result)
-    if inst.geometry is not Geometry.BALL:
-        raise ValueError("lift_ball requires a ball-geometry instance")
     x = np.asarray(result.x_star, dtype=float)
     slack = max(0.0, 1.0 - float(x @ x))
-    return _lift(result, np.full(inst.dim, slack / inst.dim))
+    return _lift(result, inst, Geometry.BALL, np.full(inst.dim, slack / inst.dim))
 
 
 def lift_box(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatrix:
@@ -355,11 +349,8 @@ def lift_box(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatrix
     Z = (1/zeta) * ([x; 1][x; 1]^T + Diag(1 - x_1^2, ..., 1 - x_n^2, 0)),
     which makes every diagonal entry equal to Z_{n+1,n+1} = 1/zeta.
     """
-    _check_positive_value(result)
-    if inst.geometry is not Geometry.BOX:
-        raise ValueError("lift_box requires a box-geometry instance")
     x = np.asarray(result.x_star, dtype=float)
-    return _lift(result, np.maximum(0.0, 1.0 - x * x))
+    return _lift(result, inst, Geometry.BOX, np.maximum(0.0, 1.0 - x * x))
 
 
 def gamma1(Z) -> float:

@@ -13,10 +13,10 @@ spherical-cap integral
 
 and it vanishes beyond a = sqrt(n).  Substituting u = t^2 turns the integral
 into half the complement of a regularized incomplete beta function,
-S(n, a) = (1 - I_{a^2/n}(1/2, (n-1)/2)) / 2.  For n >= 3 it is computed
-with scipy's complement `betaincc`, which keeps full relative accuracy deep
-in the tail; n = 2 uses the closed form arccos(a / sqrt(2)) / pi.  The
-inverse reads the same formula backwards through `betainccinv`.
+S(n, a) = (1 - I_{a^2/n}(1/2, (n-1)/2)) / 2.  It is computed with scipy's
+complement `betaincc`, which keeps full relative accuracy deep in the tail,
+for every n >= 2 (at n = 2 it is the arcsine law arccos(a / sqrt(2)) / pi).
+The inverse reads the same formula backwards through `betainccinv`.
 
 Two classical estimates are exposed through checks and used by the sampling
 algorithms: S(n, a) < exp(-0.45 a^2) for every n >= 2 and a > 0, and the
@@ -66,8 +66,6 @@ def tail_s(n: int, alpha: float) -> float:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
     if alpha * alpha >= n:
         return 0.0
-    if n == 2:
-        return float(np.arccos(alpha / math.sqrt(2.0)) / np.pi)
     # u = t^2 maps the cap integral onto a regularized incomplete beta tail
     return float(0.5 * special.betaincc(0.5, 0.5 * (n - 1), alpha * alpha / n))
 

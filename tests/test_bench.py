@@ -2,8 +2,8 @@
 
 The refactoring rule for this package is "the same results from less code":
 a change that is meant to keep results must leave this CSV byte for byte.
-It covers both oracle paths (the stationary enumeration at m = 6 and the
-perturbation search at m = 13) and both samplers.  A change that moves a
+It covers both oracle paths (the stationary enumeration at m = 6 and at
+m = 12 > n + 1, and the perturbation search at m = 13) and both samplers.  A change that moves a
 number on purpose updates GOLDEN here and states in its description which
 cells moved, by how much, and why.
 """
@@ -23,3 +23,18 @@ GOLDEN = (
 def test_benchmark_csv_golden():
     records = run_benchmark(n=5, m_values=(6, 13), runs=3, oracle_budget=2000, seed=0)
     assert to_csv(records) == GOLDEN
+
+
+# captured before the enumeration stopped at n + 1 anchors: the larger active
+# sets it used to solve never held the best stationary point
+GOLDEN_ENUMERATED = (
+    "m,v_oracle,v_cr,gen_vmax,gen_vmin,gen_vave,gen_lb,"
+    "new_vmax,new_vmin,new_vave,new_lb\n"
+    "12,1.88143923749,1.96692736291,1.26195013331,0.274644634398,0.708085689834,"
+    "-0.397698862341,1.02256137533,0.872144713877,0.963318633754,0.349109327261\n"
+)
+
+
+def test_benchmark_csv_golden_enumerated():
+    records = run_benchmark(n=5, m_values=(12,), runs=3, oracle_budget=2000, seed=0)
+    assert to_csv(records) == GOLDEN_ENUMERATED

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maxdisp import (
     DispersionInstance,
@@ -13,6 +15,7 @@ from maxdisp import (
     read_instance,
     write_instance,
 )
+from maxdisp.instance import _project, _sphere_step
 
 
 def test_rejects_shape_mismatch():
@@ -125,3 +128,50 @@ def test_read_rejects_garbage(tmp_path):
     path.write_text("{\"dim\": 2}")
     with pytest.raises(InstanceError):
         read_instance(path)
+
+
+_coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+def _vector(n):
+    return st.lists(_coords, min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), geom=st.sampled_from([Geometry.BALL, Geometry.BOX]))
+def test_project_lands_in_region_and_fixes_its_points(data, geom):
+    n = data.draw(st.integers(1, 8))
+    x = data.draw(_vector(n))
+    inst = DispersionInstance(dim=n, points=np.zeros((1, n)), weights=np.ones(1), geometry=geom)
+    y = _project(x, geom is Geometry.BALL)
+    assert inst.contains(y)
+    if inst.contains(x, tol=0.0):
+        assert np.array_equal(y, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sphere_step_reaches_the_sphere(data):
+    n = data.draw(st.integers(1, 8))
+    x = _project(data.draw(_vector(n)), True)
+    d = data.draw(_vector(n))
+    assume(np.linalg.norm(d) > 1e-3)
+    t = _sphere_step(x, d)
+    assert t >= 0.0
+    assert abs(float(np.linalg.norm(x + t * d)) - 1.0) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_evaluate_agrees_with_evaluate_batch(data):
+    # the batch expands ||x - p||^2, so it is exact only relative to the size
+    # of the expanded terms, not to a value that cancels toward zero
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 12))
+    pts = np.array([data.draw(_vector(n)) for _ in range(m)])
+    w = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+    inst = DispersionInstance(dim=n, points=pts, weights=w, geometry=Geometry.BALL)
+    xs = np.array([data.draw(_vector(n)) for _ in range(4)])
+    batch = evaluate_batch(inst, xs)
+    for x, v in zip(xs, batch):
+        scale = float(np.max(w * (x @ x + np.einsum("ij,ij->i", pts, pts))))
+        assert abs(evaluate(inst, x).value - v) <= 1e-12 * max(1.0, scale)

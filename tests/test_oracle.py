@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxdisp import (
     DispersionInstance,
@@ -18,7 +20,15 @@ from maxdisp import (
     solve_exact,
     solve_global,
 )
-from maxdisp.oracle import _search, _segment_max, _stationary_candidates
+from maxdisp import oracle
+from maxdisp.instance import _project
+from maxdisp.oracle import (
+    _far_target,
+    _feasible_samples,
+    _search,
+    _segment_max,
+    _stationary_candidates,
+)
 
 
 def _halfspace_instance(n, m, seed):
@@ -180,6 +190,44 @@ def test_degenerate_anchors_reach_relaxation(points, weights):
     assert enumerated.max() >= rel.zeta_star * (1.0 - 1e-12)
     res = solve_global(inst, budget=2000, rng=np.random.default_rng(0))
     assert res.value >= rel.zeta_star * (1.0 - 1e-12)
+
+
+def test_enumeration_solves_only_sets_of_at_most_n_plus_one(monkeypatch):
+    # a stationary point needs at most n + 1 active anchors, so no larger
+    # tie set is ever solved
+    sizes = []
+
+    def recording_tie_set(a, B, act):
+        sizes.append(len(act))
+        return tie_set(a, B, act)
+
+    tie_set = oracle._tie_set
+    monkeypatch.setattr(oracle, "_tie_set", recording_tie_set)
+    inst = generate_random(5, 12, seed=8)
+    res = solve_global(inst)
+    assert res.method_trace["stationary_candidates"] > 0
+    assert sizes and max(sizes) == inst.dim + 1
+
+
+_coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), geom=st.sampled_from([Geometry.BALL, Geometry.BOX]))
+def test_far_target_is_farthest_from_its_anchor(data, geom):
+    n = data.draw(st.integers(1, 6))
+    anchor, x = (np.array(data.draw(st.lists(_coords, min_size=n, max_size=n)))
+                 for _ in range(2))
+    inst = DispersionInstance(dim=n, points=anchor[None, :], weights=np.ones(1), geometry=geom)
+    x = _project(x, geom is Geometry.BALL)
+    target = _far_target(inst, x, anchor)
+    if target is None:  # no direction to prefer: origin anchor, x at the origin
+        assert geom is Geometry.BALL and np.linalg.norm(anchor) == np.linalg.norm(x) == 0.0
+        return
+    assert inst.contains(target)
+    samples = _feasible_samples(inst, 1000, np.random.default_rng(data.draw(st.integers(0, 99))))
+    far = float(np.linalg.norm(samples - anchor, axis=1).max())
+    assert np.linalg.norm(target - anchor) >= far - 1e-12 * max(1.0, far)
 
 
 def _small_ball_cases(count, seed):

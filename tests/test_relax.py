@@ -308,6 +308,14 @@ def test_lift_rejects_nonpositive_value():
         lift_ball(fake, inst)
 
 
+def test_lift_rejects_wrong_geometry():
+    ball, box = (generate_random(3, 4, seed=2, geometry=g) for g in (Geometry.BALL, Geometry.BOX))
+    with pytest.raises(ValueError, match="lift_box requires a box-geometry instance"):
+        lift_box(solve_cr_ball(ball), ball)
+    with pytest.raises(ValueError, match="lift_ball requires a ball-geometry instance"):
+        lift_ball(solve_cr_box(box), box)
+
+
 def test_gamma1_validation():
     with pytest.raises(ValueError):
         gamma1(np.ones((2, 3)))
