@@ -193,9 +193,9 @@ def approx_general_fixed(
     rho = _check_rho(rho)
     n = inst.dim
     ball = inst.geometry is Geometry.BALL
-    if relaxation is None:
-        relaxation = solve_cr_ball(inst) if ball else solve_cr_box(inst)
     if lift is None:
+        if relaxation is None:
+            relaxation = solve_cr_ball(inst) if ball else solve_cr_box(inst)
         lift = lift_ball(relaxation, inst) if ball else lift_box(relaxation, inst)
     scale = np.sqrt(np.maximum(np.diag(lift.entries)[:n], 0.0))
     # the sign draws are tested against the weighted anchor images

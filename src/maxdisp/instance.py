@@ -123,6 +123,20 @@ def _project(x: np.ndarray, ball: bool) -> np.ndarray:
     return x / max(1.0, float(np.linalg.norm(x))) if ball else np.clip(x, -1.0, 1.0)
 
 
+def _unit(v: np.ndarray) -> np.ndarray | None:
+    """v / ||v||, or None for the zero vector.  Where ||v|| is outside
+    1e-150..1e150, near where v . v underflows or overflows, v is first
+    divided by max_j |v_j|; every other v keeps its bits."""
+    nrm = float(np.linalg.norm(v))
+    if not 1e-150 < nrm < 1e150:
+        big = float(np.max(np.abs(v)))
+        if big == 0.0:
+            return None
+        v = v / big
+        nrm = float(np.linalg.norm(v))
+    return v / nrm
+
+
 def _sphere_step(x: np.ndarray, d: np.ndarray) -> float:
     """Nonnegative root t of ||x + t d|| = 1 for x in the ball; 0 when d = 0."""
     dd = float(d @ d)

@@ -26,8 +26,8 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
-from .instance import (DispersionInstance, Geometry, _project, _sphere_step, evaluate,
-                       evaluate_batch)
+from .instance import (DispersionInstance, Geometry, _project, _sphere_step, _unit,
+                       evaluate, evaluate_batch)
 from .relax import _tie_set
 from .tail import sample_sphere
 
@@ -149,10 +149,9 @@ def _stationary_candidates(inst):
             M2[k, :k] = 1.0
             r_const = np.concatenate([-(wA * sqA), [1.0]])
             r_lin = np.concatenate([-wA, [0.0]])
-            z0, *_ = np.linalg.lstsq(M2, r_const, rcond=None)
-            z1, *_ = np.linalg.lstsq(M2, r_lin, rcond=None)
-            x0 = G @ z0[:k]
-            x1 = G @ z1[:k]
+            z, *_ = np.linalg.lstsq(M2, np.column_stack([r_const, r_lin]), rcond=None)
+            x0 = G @ z[:k, 0]
+            x1 = G @ z[:k, 1]
             qa = float(x1 @ x1)
             qb = 2.0 * float(x0 @ x1) - 1.0
             qc = float(x0 @ x0)
@@ -176,14 +175,11 @@ def _far_target(inst, x, anchor):
 
     Where the anchor leaves a choice (an anchor at the origin, or a zero
     coordinate on the box), x breaks the tie: its own direction on the ball,
-    its own signs on the box.  None on the ball when both have zero norm.
+    its own signs on the box.  None on the ball when both are zero vectors.
     """
     if inst.geometry is Geometry.BALL:
-        nrm = float(np.linalg.norm(anchor))
-        if nrm == 0.0:
-            xn = float(np.linalg.norm(x))
-            return x / xn if xn > 0.0 else None
-        return -anchor / nrm
+        away = _unit(anchor)
+        return _unit(x) if away is None else -away
     target = -np.sign(anchor)
     zero = anchor == 0.0
     if np.any(zero):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import maxdisp.approx
 from maxdisp import (
     DispersionInstance,
     Geometry,
@@ -92,6 +93,25 @@ def test_general_solves_internally_when_not_given():
     )
     assert np.allclose(a.x_tilde, b.x_tilde, rtol=0, atol=1e-12)
     assert a.accepted_at == b.accepted_at
+
+
+@pytest.mark.parametrize("geom", [Geometry.BALL, Geometry.BOX])
+def test_general_given_a_lift_solves_no_relaxation(geom, monkeypatch):
+    # the sampler reads only the lift, so a caller who passes one pays no solve
+    ball = geom is Geometry.BALL
+    inst = generate_random(3, 4, seed=6, geometry=geom)
+    rel = (solve_cr_ball if ball else solve_cr_box)(inst)
+    lift = (lift_ball if ball else lift_box)(rel, inst)
+    expect = approx_general_fixed(inst, 0.7, np.random.default_rng(12), lift=lift, relaxation=rel)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("relaxation solved although a lift was given")
+
+    monkeypatch.setattr(maxdisp.approx, "solve_cr_ball", no_solve)
+    monkeypatch.setattr(maxdisp.approx, "solve_cr_box", no_solve)
+    res = approx_general_fixed(inst, 0.7, np.random.default_rng(12), lift=lift)
+    assert np.array_equal(res.x_tilde, expect.x_tilde)
+    assert res.accepted_at == expect.accepted_at
 
 
 def test_simplified_box_matches_general_pointwise():

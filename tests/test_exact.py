@@ -1,7 +1,5 @@
 """Polynomial-time exact ball solver: applicability, tightness, certificates."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -124,26 +122,37 @@ def test_more_anchors_than_dim_can_still_apply():
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
-@pytest.mark.parametrize("lp_returns_zero", [False, True])
-def test_line_cone_with_more_anchors_than_dim(n, lp_returns_zero, monkeypatch):
+@pytest.mark.parametrize("lp_raises", [False, True])
+def test_line_cone_with_more_anchors_than_dim(n, lp_raises, monkeypatch):
     # P = [Q; -Q] pins the sign cone to the line null(Q), with m > n.  Every
     # point of the cone is then an LP optimum, the zero vector included (an
-    # interior-point solver may return it), and the null-space fallback must
-    # find the line
+    # interior-point solver may return it), but all anchors except the last
+    # leave the same line as null space, so that candidate finds it and no LP
+    # is needed
     rng = np.random.default_rng(n)
     Q = rng.normal(size=(n - 1, n))
     pts = np.vstack([Q, -Q])
     inst = DispersionInstance(
         dim=n, points=pts, weights=rng.uniform(0.3, 3.0, 2 * n - 2), geometry=Geometry.BALL
     )
-    if lp_returns_zero:
-        monkeypatch.setattr(
-            maxdisp.exact,
-            "linprog",
-            lambda c, **kw: SimpleNamespace(success=True, x=np.zeros(n), fun=0.0),
-        )
+    if lp_raises:
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called although the null space holds the cone")
+
+        monkeypatch.setattr(maxdisp.exact, "linprog", no_lp)
     d = find_sign_direction(inst)
     assert d is not None
     assert float(np.max(pts @ d)) <= 1e-10
     res = solve_exact(inst)
     assert res.value >= res.relaxation.zeta_star - 1e-9 * max(1.0, res.relaxation.zeta_star)
+
+
+@pytest.mark.parametrize("p", [(1e-200, 0.0), (1e-300, 1e-300, 0.0)])
+def test_lone_tiny_anchor_gets_a_strict_direction(p):
+    # a norm that underflows to 0 must not flip the direction toward the anchor
+    p = np.array([p])
+    inst = DispersionInstance(dim=p.shape[1], points=p, weights=np.ones(1), geometry=Geometry.BALL)
+    d = find_sign_direction(inst)
+    assert abs(np.linalg.norm(d) - 1.0) < 1e-12
+    assert float(p[0] @ d) < 0.0

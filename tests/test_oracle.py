@@ -222,12 +222,31 @@ def test_far_target_is_farthest_from_its_anchor(data, geom):
     x = _project(x, geom is Geometry.BALL)
     target = _far_target(inst, x, anchor)
     if target is None:  # no direction to prefer: origin anchor, x at the origin
-        assert geom is Geometry.BALL and np.linalg.norm(anchor) == np.linalg.norm(x) == 0.0
+        assert geom is Geometry.BALL and not anchor.any() and not x.any()
         return
     assert inst.contains(target)
     samples = _feasible_samples(inst, 1000, np.random.default_rng(data.draw(st.integers(0, 99))))
     far = float(np.linalg.norm(samples - anchor, axis=1).max())
     assert np.linalg.norm(target - anchor) >= far - 1e-12 * max(1.0, far)
+
+
+@pytest.mark.parametrize("anchor, x, expect", [
+    ((1e-200, 0.0), (0.0, 0.0), (-1.0, 0.0)),
+    ((0.0, 0.0), (5e-324, 0.0), (1.0, 0.0)),
+    ((0.0, 0.0), (5.550377172619886e-159, 0.0), (1.0, 0.0)),
+    ((1e200, -1e200), (0.0, 0.0), (-0.5 ** 0.5, 0.5 ** 0.5)),
+    ((0.0, 0.0), (0.0, 0.0), None),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_far_target_survives_extreme_norms(anchor, x, expect):
+    # a nonzero vector still has a direction when v . v underflows or overflows
+    anchor, x = np.array(anchor), np.array(x)
+    inst = DispersionInstance(dim=2, points=anchor[None, :], weights=np.ones(1))
+    target = _far_target(inst, x, anchor)
+    if expect is None:
+        assert target is None
+    else:
+        assert np.allclose(target, expect, rtol=0.0, atol=1e-15)
 
 
 def _small_ball_cases(count, seed):
