@@ -43,7 +43,6 @@ from .instance import (
 )
 from .oracle import OracleResult, solve_global
 from .relax import (
-    LiftedMatrix,
     NonPositiveValueError,
     RelaxationResult,
     gamma1,
@@ -72,7 +71,6 @@ __all__ = [
     "Geometry",
     "HardnessArtifact",
     "InstanceError",
-    "LiftedMatrix",
     "NonPositiveValueError",
     "NotApplicableError",
     "OracleResult",

@@ -30,7 +30,6 @@ import numpy as np
 
 from .instance import DispersionInstance, Geometry, evaluate
 from .relax import (
-    LiftedMatrix,
     RelaxationResult,
     gamma1,
     lift_ball,
@@ -180,7 +179,7 @@ def approx_general_fixed(
     rho: float,
     rng: np.random.Generator,
     budget: int = _DEFAULT_BUDGET,
-    lift: LiftedMatrix | None = None,
+    lift: np.ndarray | None = None,
     relaxation: RelaxationResult | None = None,
 ) -> ApproxResult:
     """Sign-vector sampler driven by a lifted relaxation diagonal (ball or box).
@@ -197,12 +196,12 @@ def approx_general_fixed(
         if relaxation is None:
             relaxation = solve_cr_ball(inst) if ball else solve_cr_box(inst)
         lift = lift_ball(relaxation, inst) if ball else lift_box(relaxation, inst)
-    scale = np.sqrt(np.maximum(np.diag(lift.entries)[:n], 0.0))
+    scale = np.sqrt(np.maximum(np.diag(lift)[:n], 0.0))
     # the sign draws are tested against the weighted anchor images
     alpha, xi, raw, at = _sign_rejection(
         inst, rho, rng, budget, inst.points * scale[None, :]
     )
-    x = scale * xi / math.sqrt(float(lift.entries[n, n]))
+    x = scale * xi / math.sqrt(float(lift[n, n]))
     return _result(inst, x, raw, at, alpha, 0.5 * (1.0 - alpha * math.sqrt(gamma1(lift))))
 
 

@@ -145,7 +145,5 @@ def to_markdown(records: Sequence[BenchRecord]) -> str:
     header = "| " + " | ".join(_CSV_FIELDS) + " |"
     rule = "|" + "|".join(["---"] * len(_CSV_FIELDS)) + "|"
     lines = [header, rule]
-    for r in records:
-        cells = [str(r.m)] + [_fmt(getattr(r, name)) for name in _CSV_FIELDS[1:]]
-        lines.append("| " + " | ".join(cells) + " |")
+    lines += ["| " + r.csv_row().replace(",", " | ") + " |" for r in records]
     return "\n".join(lines) + "\n"

@@ -34,6 +34,7 @@ from .hardness import bqp_enumerate, build_hardness, partition_min_imbalance, qc
 from .instance import Geometry, InstanceError, read_instance, write_instance
 from .oracle import solve_global
 from .relax import NonPositiveValueError, gamma1, lift_ball, lift_box, solve_cr_ball, solve_cr_box
+from .tail import tail_bound_check, tail_s, tail_s_inverse
 
 __all__ = ["main"]
 
@@ -86,7 +87,7 @@ def _cmd_relax(args) -> int:
     }
     if args.lift:
         lft = lift_ball(rr, inst) if inst.geometry is Geometry.BALL else lift_box(rr, inst)
-        payload["lift_entries"] = [[float(v) for v in row] for row in lft.entries]
+        payload["lift_entries"] = [[float(v) for v in row] for row in lft]
         payload["gamma1"] = gamma1(lft)
     _emit_json(payload)
     return 0
@@ -170,8 +171,6 @@ def _cmd_hardness_gen(args) -> int:
 
 
 def _cmd_tail(args) -> int:
-    from .tail import tail_bound_check, tail_s, tail_s_inverse
-
     if args.mode == "s":
         print(_fmt(tail_s(args.n, args.alpha)))
     elif args.mode == "inv":

@@ -16,8 +16,9 @@ any simplex vector lam (lam >= 0, sum(lam) = 1) the closed form
 
 with N the Euclidean norm on the ball and the l1 norm on the box, bounds the
 value from above, and any feasible x bounds it from below by F(x), so the
-returned gap is a certificate independent of how the solver got there.  An
-active-set polish takes both sides to rounding level.
+returned gap is a certificate independent of how the solver got there.  On
+the box the LP's own duals are that simplex vector; on the ball an active-set
+polish takes both sides to rounding level.
 
 The optimum also induces a feasible matrix for the semidefinite relaxation of
 the same problem (`lift_ball`, `lift_box`), realizing the equivalence between
@@ -32,11 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from .instance import DispersionInstance, Geometry, _project
+from .instance import DispersionInstance, Geometry, _project, _unit
 
 __all__ = [
     "RelaxationResult",
-    "LiftedMatrix",
     "NonPositiveValueError",
     "solve_cr_ball",
     "solve_cr_box",
@@ -61,7 +61,8 @@ class RelaxationResult:
     relaxation value lies in [zeta_star, zeta_star + gap], where the bound
     zeta_star + gap is U of a simplex vector.  converged means gap <= tol; it
     is False when the iteration budget ran out first.  iterations counts
-    HiGHS simplex iterations on the box and Newton steps on the ball.
+    HiGHS simplex iterations on the box and Newton steps on the ball; it is 0
+    when the starting certificate is already closed.
     """
 
     x_star: np.ndarray
@@ -69,13 +70,6 @@ class RelaxationResult:
     gap: float
     iterations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class LiftedMatrix:
-    """(n+1) x (n+1) feasible matrix for the semidefinite relaxation."""
-
-    entries: np.ndarray
 
 
 class _Certificate:
@@ -99,25 +93,20 @@ class _Certificate:
     def offer_bound(self, lam):
         c = self.B.T @ lam
         norm = np.linalg.norm(c) if self.ball else np.abs(c).sum()
-        upper = float(lam @ self.a + norm)
-        if upper < self.upper:
-            self.lam, self.upper = lam, upper
+        self.upper = min(self.upper, float(lam @ self.a + norm))
 
 
-def _multipliers(B, x, act, ball):
+def _multipliers(B, x, act):
     """Simplex multipliers supported on act, by nonnegative least squares.
 
-    At the optimum B^T lam is -nu x on the sphere, -sum_j nu_j x_j e_j over
-    the box coordinates at a bound (all nu >= 0), and 0 at an interior point.
-    One solve offers these bound directions as extra columns and one does
-    not: in the interior the radial column admits exact but loose solutions.
+    At the ball's optimum B^T lam is -nu x (nu >= 0) on the sphere and 0 at
+    an interior point.  One solve offers the radial direction as an extra
+    column and one does not: in the interior that column admits exact but
+    loose solutions.
     """
     m, n = B.shape
-    if ball:
-        nx = float(np.linalg.norm(x))
-        extra = x[:, None] / nx if nx > 1e-9 else np.zeros((n, 0))
-    else:
-        extra = np.eye(n)[:, np.abs(x) >= 1.0] * x[np.abs(x) >= 1.0]
+    nx = float(np.linalg.norm(x))
+    extra = x[:, None] / nx if nx > 1e-9 else np.zeros((n, 0))
     out = []
     for mat in (np.hstack([B[act].T, extra]), B[act].T)[: 2 if extra.size else 1]:
         scale = max(1.0, float(np.abs(mat).max()))
@@ -160,27 +149,25 @@ def _face_point(a, B, act):
 
 
 def _polish(cert, lam):
-    """One pass of exact solves on the active sets suggested by lam and cert.x.
-
-    The sets are the top n + 1 entries of lam and the pieces within widening
-    thresholds of the minimum at the best point.  Each set yields multipliers
-    and, on the ball, the face point of each multiplier's support.
+    """One pass of exact solves on two ball active sets: the top n + 1 entries
+    of lam, and the pieces within 1e-3 relative of the minimum at cert.x (at
+    most 3n + 6 of them).  Each set yields multipliers, and each multiplier
+    the face point of its support.
     """
     a, B, n = cert.a, cert.B, cert.B.shape[1]
     order = np.argsort(r := a - B @ cert.x, kind="stable")
-    sets = {tuple(np.sort(np.argsort(-lam, kind="stable")[: n + 1]))}
-    for eps in (1e-10, 1e-6, 1e-3):
-        k = np.searchsorted(r[order], cert.f + eps * max(1.0, abs(cert.f)), "right")
-        sets.add(tuple(np.sort(order[: min(max(k, 1), 3 * n + _ACTIVE_CAP_PAD)])))
+    k = np.searchsorted(r[order], cert.f + 1e-3 * max(1.0, abs(cert.f)), "right")
+    sets = {tuple(np.sort(np.argsort(-lam, kind="stable")[: n + 1])),
+            tuple(np.sort(order[: min(max(k, 1), 3 * n + _ACTIVE_CAP_PAD)]))}
     for act in sorted(sets):
-        for mult in _multipliers(B, cert.x, np.array(act), cert.ball):
+        for mult in _multipliers(B, cert.x, np.array(act)):
             cert.offer_bound(mult)
-            if cert.ball:
-                cert.offer_point(_face_point(a, B, np.flatnonzero(mult)))
+            cert.offer_point(_face_point(a, B, np.flatnonzero(mult)))
 
 
 def _solve_box(cert, tol, fine, max_iter):
-    """One HiGHS LP: max t s.t. B x + t <= a, |x_j| <= 1; returns its iterations."""
+    """One HiGHS LP: max t s.t. B x + t <= a, |x_j| <= 1, whose duals are the
+    certificate's simplex vector; returns its iterations."""
     m, n = cert.B.shape
     A_ub, bounds = np.hstack([cert.B, np.ones((m, 1))]), [(-1, 1)] * n + [(None, None)]
     res = linprog(np.r_[np.zeros(n), -1.0], A_ub, cert.a, bounds=bounds, method="highs",
@@ -190,7 +177,6 @@ def _solve_box(cert, tol, fine, max_iter):
         duals = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
         if duals.sum() > 1e-12:
             cert.offer_bound(duals / duals.sum())
-    _polish(cert, cert.lam)
     return int(res.nit)
 
 
@@ -249,36 +235,32 @@ def _solve_relaxation(inst: DispersionInstance, geometry: Geometry, tol, max_ite
     if tol is not None and tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     n, m = inst.dim, inst.m
-    mu = 1.0 if geometry is Geometry.BALL else float(n)
-    a = inst.weights * (mu + np.einsum("ij,ij->i", inst.points, inst.points))
-    B = 2.0 * inst.weights[:, None] * inst.points
+    ball = geometry is Geometry.BALL
+    mu = 1.0 if ball else float(n)
+    with np.errstate(over="ignore"):  # reported just below
+        a = inst.weights * (mu + np.einsum("ij,ij->i", inst.points, inst.points))
+        B = 2.0 * inst.weights[:, None] * inst.points
+    if not (np.isfinite(a).all() and np.isfinite(B).all()):
+        raise ValueError("a piece w_i (mu + ||p_i||^2 - 2 p_i . x) overflows; rescale the instance")
 
     if max_iter is None:
         max_iter = 200 * m * n
 
-    if not np.any(B):
-        # every anchor sits at the origin: F is the constant min_i a_i
-        return RelaxationResult(np.zeros(n), float(np.min(a)), 0.0, 0, True)
-
-    if m == 1:
-        p = inst.points[0]
-        if geometry is Geometry.BALL:
-            u = p / np.abs(p).max()  # rescaled so that the norm cannot underflow
-            x = -u / np.linalg.norm(u)
-        else:
-            x = -np.sign(p)
-        zeta = float((a - B @ x)[0])
-        return RelaxationResult(x, zeta, 0.0, 0, True)
+    if m == 1 and np.any(B):
+        # one linear piece: its maximum is the region's point farthest along -p
+        x = -_unit(inst.points[0]) if ball else -np.sign(inst.points[0])
+        return RelaxationResult(x, float((a - B @ x)[0]), 0.0, 0, True)
 
     # repeated anchors would crowd the polish's active sets: keep one of each
     keep = np.sort(np.unique(np.column_stack([a, B]), axis=0, return_index=True)[1])
-    cert = _Certificate(a[keep], B[keep], geometry is Geometry.BALL)
+    cert = _Certificate(a[keep], B[keep], ball)
     if tol is None:
         tol = 1e-7 * max(1.0, cert.upper)
-    # polish to rounding level, not just to tol, so x_star is reproducible
+    # close to rounding level, not just to tol, so x_star is reproducible
     fine = min(tol, 1e-12 * max(1.0, cert.upper))
-    solve = _solve_ball if cert.ball else _solve_box
-    iterations = solve(cert, tol, fine, max_iter)
+    solve = _solve_ball if ball else _solve_box
+    # a closed start (e.g. every anchor at the origin) needs no solve
+    iterations = 0 if cert.upper - cert.f <= fine else solve(cert, tol, fine, max_iter)
     gap = max(cert.upper - cert.f, 0.0)
     return RelaxationResult(cert.x, cert.f, gap, iterations, gap <= tol)
 
@@ -312,7 +294,7 @@ def solve_cr_box(
 
 
 def _lift(result: RelaxationResult, inst: DispersionInstance, geometry: Geometry,
-          diagonal: np.ndarray) -> LiftedMatrix:
+          diagonal: np.ndarray) -> np.ndarray:
     """(1/zeta) * ([x; 1][x; 1]^T + Diag(diagonal, 0)), exactly symmetric, once
     zeta is known positive and inst has the lift's geometry."""
     if result.zeta_star <= 0.0:
@@ -327,12 +309,11 @@ def _lift(result: RelaxationResult, inst: DispersionInstance, geometry: Geometry
     Z = np.outer(v, v)
     n = diagonal.shape[0]
     Z[np.arange(n), np.arange(n)] += diagonal
-    Z /= result.zeta_star
-    return LiftedMatrix(entries=Z)
+    return Z / result.zeta_star
 
 
-def lift_ball(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatrix:
-    """Feasible lifted matrix for the ball geometry from a relaxation optimum.
+def lift_ball(result: RelaxationResult, inst: DispersionInstance) -> np.ndarray:
+    """Feasible (n+1) x (n+1) lifted matrix for the ball from a relaxation optimum.
 
     Z = (1/zeta) * ([x; 1][x; 1]^T + blockdiag(((1 - ||x||^2)/n) I, 0)),
     which satisfies sum_j Z_jj = Z_{n+1,n+1} = 1/zeta and every constraint
@@ -343,8 +324,8 @@ def lift_ball(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatri
     return _lift(result, inst, Geometry.BALL, np.full(inst.dim, slack / inst.dim))
 
 
-def lift_box(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatrix:
-    """Feasible lifted matrix for the box geometry from a relaxation optimum.
+def lift_box(result: RelaxationResult, inst: DispersionInstance) -> np.ndarray:
+    """Feasible (n+1) x (n+1) lifted matrix for the box from a relaxation optimum.
 
     Z = (1/zeta) * ([x; 1][x; 1]^T + Diag(1 - x_1^2, ..., 1 - x_n^2, 0)),
     which makes every diagonal entry equal to Z_{n+1,n+1} = 1/zeta.
@@ -353,13 +334,12 @@ def lift_box(result: RelaxationResult, inst: DispersionInstance) -> LiftedMatrix
     return _lift(result, inst, Geometry.BOX, np.maximum(0.0, 1.0 - x * x))
 
 
-def gamma1(Z) -> float:
-    """Largest diagonal entry of the top-left n x n block over its trace.
-
-    Accepts a LiftedMatrix or a raw (n+1) x (n+1) array.  Equals exactly 1/n
-    for box lifts, whose diagonal is constant.
+def gamma1(Z: np.ndarray) -> float:
+    """Largest diagonal entry of the top-left n x n block of the (n+1) x (n+1)
+    lift Z over its trace.  Equals exactly 1/n for box lifts, whose diagonal is
+    constant.
     """
-    entries = np.asarray(getattr(Z, "entries", Z), dtype=float)
+    entries = np.asarray(Z, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 2:
         raise ValueError(f"expected a square matrix of size >= 2, got {entries.shape}")
     diag = np.diag(entries)[:-1]

@@ -171,7 +171,7 @@ def test_criterion_06_three_point_example(capsys):
     )
     rel = solve_cr_ball(inst, tol=1e-10)
     ok = abs(rel.zeta_star - 1.0 / 0.0955) <= 0.005 * (1.0 / 0.0955)
-    Z = lift_ball(rel, inst).entries
+    Z = lift_ball(rel, inst)
     corner = float(Z[2, 2])
     ok = ok and abs(corner - 0.0955) <= 0.005 * 0.0955
     # prior sign-sampler bound at the reported concentration 0.8: its maximum

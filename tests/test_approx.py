@@ -79,7 +79,7 @@ def test_general_guarantee_sweep(geom):
         assert inst.contains(res.x_tilde)
         alpha = math.sqrt(2.0 * math.log(m / 0.9))
         assert abs(res.alpha_used - alpha) < 1e-12
-        g1 = gamma1(lift.entries)
+        g1 = gamma1(lift)
         assert abs(res.bound_r - (1.0 - alpha * math.sqrt(g1)) / 2.0) < 1e-10
         assert res.refined_bound is None
 

@@ -94,6 +94,14 @@ def test_relax_rejects_nonpositive_tol(ball_path, capsys, tol):
     assert capsys.readouterr().err.startswith("error: tol must be positive")
 
 
+def test_relax_overflowing_piece_fails_cleanly(tmp_path, capsys):
+    inst = DispersionInstance(2, np.array([[1e200, 0.0], [0.0, 1.0]]), np.ones(2), Geometry.BALL)
+    path = tmp_path / "huge.json"
+    write_instance(inst, path)
+    assert main(["relax", str(path)]) == 1
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_approx_csv_shape_and_determinism(ball_path, capsys):
     argv = ["approx", ball_path, "--algo", "ball", "--rho", "0.9", "--runs", "3", "--seed", "5"]
     assert main(argv) == 0

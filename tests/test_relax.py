@@ -165,6 +165,39 @@ def test_repeated_anchors(geom):
         assert abs(res.zeta_star - once.zeta_star) <= once.gap + res.gap
 
 
+@pytest.mark.parametrize("geom", [Geometry.BALL, Geometry.BOX])
+def test_closed_start_runs_no_solve(geom):
+    # the origin anchor's piece is smallest and flat, so the starting
+    # certificate (x = 0 and the singleton on that piece) is already closed
+    solver = solve_cr_ball if geom is Geometry.BALL else solve_cr_box
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    res = solver(DispersionInstance(2, pts, np.ones(3), geom))
+    assert res.iterations == 0 and res.gap == 0.0 and res.converged
+    assert np.all(res.x_star == 0.0)
+
+
+def test_box_is_certified_by_its_lp_duals(monkeypatch):
+    def no_polish(*args):
+        raise AssertionError("the box must not need the polish")
+
+    monkeypatch.setattr("maxdisp.relax._polish", no_polish)
+    rng = np.random.default_rng(11)
+    for k in range(24):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(2, 30))
+        res = solve_cr_box(generate_random(n, m, seed=500 + k, geometry=Geometry.BOX))
+        assert res.converged
+        assert res.gap <= 1e-12 * max(1.0, res.zeta_star)
+
+
+@pytest.mark.parametrize("solver", [solve_cr_ball, solve_cr_box])
+def test_overflowing_piece_is_an_error(solver):
+    # ||p||^2 overflows although every input is finite
+    geom = Geometry.BALL if solver is solve_cr_ball else Geometry.BOX
+    inst = DispersionInstance(2, np.array([[1e200, 0.0], [0.0, 1.0]]), np.ones(2), geom)
+    with pytest.raises(ValueError, match="overflows"):
+        solver(inst)
+
+
 def test_line_segment_pair():
     inst = DispersionInstance(
         dim=1,
@@ -265,7 +298,7 @@ def test_lift_invariants(geom):
         m = int(rng.integers(1, 12))
         inst = generate_random(n, m, seed=300 + k, geometry=geom)
         res = solver(inst, tol=1e-9)
-        Z = lifter(res, inst).entries
+        Z = lifter(res, inst)
         assert Z.shape == (n + 1, n + 1)
         assert np.allclose(Z, Z.T, rtol=0, atol=1e-14)
         scale = float(np.linalg.norm(Z))
@@ -280,7 +313,7 @@ def test_lift_invariants(geom):
 
 def test_lift_anchor_diagonal():
     res = solve_cr_ball(THREE_POINTS, tol=1e-10)
-    Z = lift_ball(res, THREE_POINTS).entries
+    Z = lift_ball(res, THREE_POINTS)
     assert np.allclose(
         np.diag(Z), [0.0190983, 0.0763932, 0.0954915], rtol=0, atol=1e-6
     )
@@ -295,7 +328,7 @@ def test_box_corner_ratio_is_uniform():
         n = int(rng.integers(2, 7))
         inst = generate_random(n, int(rng.integers(2, 9)), seed=400 + k, geometry=Geometry.BOX)
         res = solve_cr_box(inst, tol=1e-9)
-        Z = lift_box(res, inst).entries
+        Z = lift_box(res, inst)
         assert abs(gamma1(Z) - 1.0 / n) < 1e-9
 
 
