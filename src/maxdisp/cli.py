@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,6 +69,9 @@ def _cmd_solve(args) -> int:
             "value": res.value,
             "x": [float(v) for v in res.x_best],
             "note": res.certified_radius,
+            # strict JSON has no infinity: an unsampled best_sampled is null
+            "method_trace": {k: v if math.isfinite(v) else None
+                             for k, v in res.method_trace.items()},
         }
     )
     return 0

@@ -1,14 +1,16 @@
 """Global oracle for desk-scale instances, by one of two routes.
 
-On a ball with m <= 12 anchors, solve_global lists every active set and
-returns the best of their stationary points.  Every other instance is
-searched: dense feasible sampling, then deterministic local ascent from the
-most promising candidates.  The ascent exploits the objective's structure:
-along any segment inside the feasible region every term w_i ||x + t d - p_i||^2
-is an upward parabola in t, so the exact maximum of their minimum over the
-segment sits at an endpoint or at a crossing of two parabolas, all of which
-are enumerable; one batched pass finds the line maxima toward all targets of
-an ascent round.  method_trace holds the counts and each stage's seconds.
+On a ball with m <= 12 anchors, solve_global returns the best stationary
+point over every active set of at most n + 1 anchors, all solved in one
+stacked pass.  Every other instance is searched: dense feasible sampling,
+then deterministic local ascent from the most promising candidates.  The
+ascent exploits the objective's structure: along any segment inside the
+feasible region every term w_i ||x + t d - p_i||^2 is an upward parabola in
+t, so the exact maximum of their minimum over the segment sits at an
+endpoint or at a crossing of two parabolas, all of which are enumerable; one
+batched pass finds the line maxima toward all targets of an ascent round.
+method_trace holds the counts (active sets, samples, steps) and each stage's
+seconds.
 
 The result is a reference value, not a certificate; tests always pair it
 with the relaxation upper bound.  Intended for small dimensions (n <= 6 is
@@ -101,10 +103,28 @@ def _seed_candidates(inst):
     return seeds
 
 
+@lru_cache(maxsize=None)
+def _padded_sets(m, k):
+    """Read-only arrays over every subset of at most k of m indices, by size,
+    then in combinations order: the subsets padded to k entries by repeating
+    their first index, and their sizes."""
+    sets = [A for size in range(1, k + 1) for A in combinations(range(m), size)]
+    idx = np.array([A + A[:1] * (k - len(A)) for A in sets], dtype=np.intp)
+    size = np.array([len(A) for A in sets], dtype=np.intp)
+    idx.flags.writeable = size.flags.writeable = False
+    return idx, size
+
+
+def _norms(X):
+    """Euclidean norms along the last axis, each the square root of one
+    row-vector product, which rounds as np.linalg.norm of one vector does."""
+    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
+
+
 def _stationary_candidates(inst):
-    """Every stationary point of the maximin objective on the ball, by
-    enumerating active subsets of at most n + 1 anchors (ball geometry,
-    m <= _STATIONARY_M_CAP).
+    """Every stationary point of the maximin objective on the ball, from all
+    active sets of at most n + 1 anchors (ball geometry, m <=
+    _STATIONARY_M_CAP), and the number of sets solved.
 
     By Caratheodory a stationary point needs at most n active anchors on the
     sphere and n + 1 inside, and a tie set of more anchors is also the tie set
@@ -119,55 +139,66 @@ def _stationary_candidates(inst):
     nonlinearity is the scalar u = ||x||^2, determined by a quadratic.  Sign
     conditions on the multipliers are not checked; spurious candidates are
     harmless because every candidate is scored by a full evaluation.
+
+    All sets are solved in one stacked pass, each padded to K = min(m, n + 1)
+    entries by repeating its first anchor: the padded ties are exact zeros,
+    and the interior system's padded block is the identity with a zero
+    right-hand side, solved with lstsq's cutoff eps (k + 1) s_0 for k real
+    anchors.  Candidates come per set (by size, then in combinations order)
+    as the two sphere points, then the interior roots.
     """
-    m = inst.m
+    n = inst.dim
     P, w = inst.points, inst.weights
     p_sq = np.einsum("ij,ij->i", P, P)
     a, B = w * (1.0 + p_sq), 2.0 * w[:, None] * P
-    out = []
-    for k in range(1, min(m, inst.dim + 1) + 1):
-        for A in combinations(range(m), k):
-            idx = list(A)
-            c, dirs, room = _tie_set(a, B, idx)
-            # a tie set that is one point lies on the tie line of a subset
-            if room >= 0.0 and len(dirs):
-                b0 = B[idx[0]]
-                g = dirs @ b0
-                gn = float(np.linalg.norm(g))
-                flat = gn <= 1e-12 * max(1.0, float(np.linalg.norm(b0)))
-                step = math.sqrt(room) * (dirs[0] if flat else dirs.T @ g / gn)
-                for x in (c + step, c - step):
-                    out.append(x / float(np.linalg.norm(x)))
+    sets, size = _padded_sets(inst.m, min(inst.m, n + 1))
+    count, K = sets.shape
 
-            # interior branch: x = PA^T theta, sum theta = 1, u = |x|^2
-            PA, wA, sqA = P[idx], w[idx], p_sq[idx]
-            G = PA.T  # span basis, n x k
-            L = -2.0 * (wA[:, None] * PA) @ G  # k x k
-            M2 = np.zeros((k + 1, k + 1))
-            M2[:k, :k] = L
-            M2[:k, k] = -1.0
-            M2[k, :k] = 1.0
-            r_const = np.concatenate([-(wA * sqA), [1.0]])
-            r_lin = np.concatenate([-wA, [0.0]])
-            z, *_ = np.linalg.lstsq(M2, np.column_stack([r_const, r_lin]), rcond=None)
-            x0 = G @ z[:k, 0]
-            x1 = G @ z[:k, 1]
-            qa = float(x1 @ x1)
-            qb = 2.0 * float(x0 @ x1) - 1.0
-            qc = float(x0 @ x0)
-            if qa <= 1e-16:
-                roots = [-qc / qb] if abs(qb) > 1e-16 else []
-            else:
-                disc = qb * qb - 4.0 * qa * qc
-                sq = math.sqrt(disc) if disc >= 0.0 else None
-                roots = [] if sq is None else [(-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)]
-            for u in roots:
-                if u < -1e-12:
-                    continue
-                x = x0 + max(u, 0.0) * x1
-                if np.linalg.norm(x) <= 1.0 + 1e-9:
-                    out.append(_project(x, True))
-    return out
+    # sphere branch: the tie set's two sphere points
+    c, vt, rank, room = _tie_set(a, B, sets)
+    b0 = B[sets[:, 0]]
+    g = np.where(np.arange(n) >= rank[:, None], (vt @ b0[:, :, None])[:, :, 0], 0.0)
+    gn = _norms(g)
+    flat = gn <= 1e-12 * np.maximum(1.0, _norms(b0))
+    along = (g[:, None, :] @ vt)[:, 0] / np.where(flat, 1.0, gn)[:, None]
+    step = np.where(flat[:, None], vt[np.arange(count), np.minimum(rank, n - 1)], along)
+    step *= np.sqrt(np.maximum(room, 0.0))[:, None]
+    ends = np.stack([c + step, c - step], axis=1)
+    # a tie set that is one point lies on the tie line of a subset
+    on_sphere = (room >= 0.0) & (rank < n)
+    ends /= np.where(on_sphere[:, None], _norms(ends), 1.0)[:, :, None]
+
+    # interior branch: x = PA^T theta, sum theta = 1, u = |x|^2
+    real = np.arange(K) < size[:, None]
+    PA, wA = P[sets], np.where(real, w[sets], 0.0)
+    M = np.zeros((count, K + 1, K + 1))
+    L = -2.0 * (wA[:, :, None] * PA) @ PA.transpose(0, 2, 1)
+    M[:, :K, :K] = np.where(real[:, :, None] & real[:, None, :], L, np.eye(K))
+    M[:, :K, K], M[:, K, :K] = np.where(real, -1.0, 0.0), real
+    rhs = np.zeros((count, K + 1, 2))
+    rhs[:, :K, 0], rhs[:, K, 0], rhs[:, :K, 1] = -(wA * p_sq[sets]), 1.0, -wA
+    left, sv, right = np.linalg.svd(M)
+    keep = sv > np.finfo(float).eps * (size + 1)[:, None] * sv[:, :1]
+    z = np.einsum("sji,sjc->sic", left, rhs) / np.where(keep, sv, np.inf)[:, :, None]
+    theta = np.where(real[:, :, None], np.einsum("sji,sjc->sic", right, z)[:, :K], 0.0)
+    x0, x1 = np.einsum("skn,skc->csn", PA, theta)
+    qa = np.einsum("sn,sn->s", x1, x1)
+    qb = 2.0 * np.einsum("sn,sn->s", x0, x1) - 1.0
+    qc = np.einsum("sn,sn->s", x0, x0)
+    lin = qa <= 1e-16
+    disc = qb * qb - 4.0 * qa * qc
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    two_qa = np.where(lin, 1.0, 2 * qa)
+    u = np.stack([np.where(lin, -qc / np.where(np.abs(qb) > 1e-16, qb, 1.0), (-qb + sq) / two_qa),
+                  (-qb - sq) / two_qa], axis=1)
+    ok = np.stack([np.where(lin, np.abs(qb) > 1e-16, disc >= 0.0), ~lin & (disc >= 0.0)], axis=1)
+    inner = x0[:, None] + np.maximum(u, 0.0)[:, :, None] * x1[:, None]
+    nrm = _norms(inner)
+    ok &= (u >= -1e-12) & (nrm <= 1.0 + 1e-9)
+    inner /= np.maximum(1.0, nrm)[:, :, None]
+
+    valid = np.column_stack([on_sphere, on_sphere, ok])
+    return np.concatenate([ends, inner], axis=1)[valid], count
 
 
 def _far_target(inst, x, anchor):
@@ -365,21 +396,23 @@ def _ascend(inst, x0):
 
 
 def _trace(seconds, **counts):
-    """method_trace: the six counts (0 unless given) and every stage's seconds."""
+    """method_trace: the seven counts (0 unless given) and every stage's seconds."""
     trace = {"samples": 0, "best_sampled": -math.inf, "stationary_candidates": 0,
-             "candidates_refined": 0, "refine_steps": 0, "polish_steps": 0, **counts}
+             "active_sets": 0, "candidates_refined": 0, "refine_steps": 0,
+             "polish_steps": 0, **counts}
     return trace | {f"seconds_{s}": seconds.get(s, 0.0) for s in _STAGES}
 
 
 def _enumerate(inst):
     """Best stationary point over all active sets: the route for small balls."""
     t0 = time.perf_counter()
-    points = np.asarray(_stationary_candidates(inst))
+    points, solved = _stationary_candidates(inst)
     x = points[int(np.argmax(evaluate_batch(inst, points)))].copy()
-    trace = _trace({"stationary": time.perf_counter() - t0}, stationary_candidates=len(points))
+    trace = _trace({"stationary": time.perf_counter() - t0}, stationary_candidates=len(points),
+                   active_sets=solved)
     note = (
-        f"enumerated: best of {len(points)} stationary points over every active "
-        "set; pair with a relaxation upper bound for soundness"
+        f"enumerated: best of {len(points)} stationary points of {solved} active "
+        "sets; pair with a relaxation upper bound for soundness"
     )
     return OracleResult(
         x_best=x, value=evaluate(inst, x).value, method_trace=trace, certified_radius=note
@@ -477,8 +510,9 @@ def solve_global(
     """Best dispersion value found by the route the input selects.
 
     A ball with m <= 12 anchors gets the best stationary point over every
-    active set, and `budget` and `rng` are unused.  Any other instance gets
-    the search, with `budget` feasible samples drawn from `rng`.
+    active set of at most n + 1 anchors, and `budget` and `rng` are unused.
+    Any other instance gets the search, with `budget` feasible samples drawn
+    from `rng`.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")

@@ -77,10 +77,11 @@ class _Certificate:
 
     Nothing else a solver returns reaches the result, so its tolerances never
     do.  It starts at the origin and the singleton on its smallest piece.
+    faces holds the supports whose face points the polish has offered.
     """
 
     def __init__(self, a, B, ball):
-        self.a, self.B, self.ball = a, B, ball
+        self.a, self.B, self.ball, self.faces = a, B, ball, set()
         self.x, self.f, self.upper = np.zeros(B.shape[1]), float(np.min(a)), math.inf
         self.offer_bound(np.eye(1, a.size, int(np.argmin(a)))[0])
 
@@ -122,17 +123,22 @@ def _multipliers(B, x, act):
     return out
 
 
-def _tie_set(a, B, act):
-    """The affine set on which every piece in act takes the same value.
+def _tie_set(a, B, acts):
+    """The affine sets on which every piece of a row of acts takes the same value.
 
-    The ties (b_i - b_0).x = a_i - a_0 are solved by one SVD.  Returns their
-    minimum-norm point c, an orthonormal basis of the set's directions (rows,
-    all orthogonal to c) and the room 1 - ||c||^2 left inside the ball.
+    acts is a stack of index rows; a row may repeat its first index, which
+    adds the exact zero tie 0.x = 0.  Each row's ties (b_i - b_0).x = a_i - a_0
+    are solved by one stacked SVD, with lstsq's cutoff 1e-12 s_0.  Returns,
+    per row, the minimum-norm point c, the right singular vectors vt and the
+    rank r (rows r: of vt are an orthonormal basis of the set's directions,
+    all orthogonal to c), and the room 1 - ||c||^2 left inside the ball.
     """
-    u, sv, vt = np.linalg.svd(B[act[1:]] - B[act[0]])
-    rank = int(np.sum(sv > 1e-12 * sv[0])) if sv.size else 0
-    c = vt[:rank].T @ ((u[:, :rank].T @ (a[act[1:]] - a[act[0]])) / sv[:rank])
-    return c, vt[rank:], 1.0 - float(c @ c)
+    u, sv, vt = np.linalg.svd(B[acts[:, 1:]] - B[acts[:, :1]])
+    keep, r = sv > 1e-12 * sv[:, :1], sv.shape[1]
+    # row-vector products: a stack of one rounds as one matrix-vector product
+    proj = ((a[acts[:, 1:]] - a[acts[:, :1]])[:, None, :] @ u[:, :, :r])[:, 0]
+    c = ((proj / np.where(keep, sv, np.inf))[:, None, :] @ vt[:, :r])[:, 0]
+    return c, vt, keep.sum(axis=1), 1.0 - (c[:, None, :] @ c[:, :, None])[:, 0, 0]
 
 
 def _face_point(a, B, act):
@@ -140,7 +146,8 @@ def _face_point(a, B, act):
     the tie set's minimum-norm point, stepped to the sphere along the set's part
     of -b_0 (n + 1 independent ties leave just the point)."""
     b0 = B[act[0]]
-    x, dirs, room = _tie_set(a, B, act)
+    c, vt, rank, room = _tie_set(a, B, act[None, :])
+    x, dirs, room = c[0], vt[0, rank[0] :], float(room[0])
     g = dirs @ b0
     gn = float(np.linalg.norm(g))
     if room > 0.0 and gn > 1e-12 * max(1.0, float(np.linalg.norm(b0))):
@@ -152,7 +159,8 @@ def _polish(cert, lam):
     """One pass of exact solves on two ball active sets: the top n + 1 entries
     of lam, and the pieces within 1e-3 relative of the minimum at cert.x (at
     most 3n + 6 of them).  Each set yields multipliers, and each multiplier
-    the face point of its support.
+    the face point of its support, unless the support is already in
+    cert.faces: a face point depends on its support alone.
     """
     a, B, n = cert.a, cert.B, cert.B.shape[1]
     order = np.argsort(r := a - B @ cert.x, kind="stable")
@@ -162,7 +170,10 @@ def _polish(cert, lam):
     for act in sorted(sets):
         for mult in _multipliers(B, cert.x, np.array(act)):
             cert.offer_bound(mult)
-            cert.offer_point(_face_point(a, B, np.flatnonzero(mult)))
+            support = tuple(np.flatnonzero(mult).tolist())
+            if support not in cert.faces:
+                cert.faces.add(support)
+                cert.offer_point(_face_point(a, B, np.array(support)))
 
 
 def _solve_box(cert, tol, fine, max_iter):

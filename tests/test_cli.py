@@ -54,6 +54,15 @@ def test_solve_oracle_json(ball_path, capsys):
     assert doc["method"] == "oracle"
     assert len(doc["x"]) == 4
     assert doc["value"] > 0
+    # a ball with m <= 12 is enumerated: nothing sampled, so best_sampled is null
+    trace = doc["method_trace"]
+    assert set(trace) == {
+        "samples", "best_sampled", "stationary_candidates", "active_sets",
+        "candidates_refined", "refine_steps", "polish_steps",
+        *(f"seconds_{s}" for s in ("seeds", "stationary", "sampling", "ascent", "polish")),
+    }
+    assert trace["best_sampled"] is None and trace["samples"] == 0
+    assert trace["active_sets"] > 0
 
 
 def test_solve_exact_json(tmp_path, capsys):

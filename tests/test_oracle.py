@@ -1,6 +1,8 @@
 """Heuristic global oracle: agreement with certified routes, budget contract."""
 
+import math
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from maxdisp import (
     Geometry,
     NotApplicableError,
     bqp_enumerate,
+    build_hardness,
     evaluate,
     evaluate_batch,
     generate_random,
@@ -122,6 +125,7 @@ _TRACE_KEYS = (
     "samples",
     "best_sampled",
     "stationary_candidates",
+    "active_sets",
     "candidates_refined",
     "refine_steps",
     "polish_steps",
@@ -141,6 +145,7 @@ def test_trace_bookkeeping():
     assert min(stages) >= 0.0
     assert sum(stages) <= wall
     assert tr["samples"] == 60_000 and tr["stationary_candidates"] == 0
+    assert tr["active_sets"] == 0
     assert tr["candidates_refined"] > 0 and tr["refine_steps"] > 0
     assert tr["seconds_stationary"] == 0.0
     assert res.certified_radius.startswith("heuristic")
@@ -152,11 +157,15 @@ def test_small_ball_trace_names_the_enumeration():
     tr = res.method_trace
     assert set(tr) == set(_TRACE_KEYS)
     assert tr["samples"] == 0 and tr["stationary_candidates"] > 0
+    # every set of at most n + 1 = 5 of the 6 anchors
+    assert tr["active_sets"] == sum(math.comb(6, k) for k in range(1, 6))
     assert tr["best_sampled"] == -np.inf
     assert tr["candidates_refined"] == tr["refine_steps"] == tr["polish_steps"] == 0
     for stage in ("seeds", "sampling", "ascent", "polish"):  # skipped stages
         assert tr[f"seconds_{stage}"] == 0.0
     assert res.certified_radius.startswith("enumerated")
+    assert f"{tr['stationary_candidates']} stationary points of 62 active sets" in (
+        res.certified_radius)
     assert res.value == evaluate(inst, res.x_best).value
 
 
@@ -186,7 +195,7 @@ def test_degenerate_anchors_reach_relaxation(points, weights):
         dim=pts.shape[1], points=pts, weights=np.asarray(weights), geometry=Geometry.BALL
     )
     rel = solve_cr_ball(inst)
-    enumerated = evaluate_batch(inst, np.asarray(_stationary_candidates(inst)))
+    enumerated = evaluate_batch(inst, _stationary_candidates(inst)[0])
     assert enumerated.max() >= rel.zeta_star * (1.0 - 1e-12)
     res = solve_global(inst, budget=2000, rng=np.random.default_rng(0))
     assert res.value >= rel.zeta_star * (1.0 - 1e-12)
@@ -194,12 +203,13 @@ def test_degenerate_anchors_reach_relaxation(points, weights):
 
 def test_enumeration_solves_only_sets_of_at_most_n_plus_one(monkeypatch):
     # a stationary point needs at most n + 1 active anchors, so no larger
-    # tie set is ever solved
+    # tie set is ever solved; each stacked row repeats its first anchor as
+    # padding, so a set's size is its count of distinct anchors
     sizes = []
 
-    def recording_tie_set(a, B, act):
-        sizes.append(len(act))
-        return tie_set(a, B, act)
+    def recording_tie_set(a, B, acts):
+        sizes.extend(len(set(row)) for row in acts.tolist())
+        return tie_set(a, B, acts)
 
     tie_set = oracle._tie_set
     monkeypatch.setattr(oracle, "_tie_set", recording_tie_set)
@@ -207,6 +217,126 @@ def test_enumeration_solves_only_sets_of_at_most_n_plus_one(monkeypatch):
     res = solve_global(inst)
     assert res.method_trace["stationary_candidates"] > 0
     assert sizes and max(sizes) == inst.dim + 1
+
+
+def _reference_stationary_candidates(inst):
+    # the per-set loop the stacked pass replaced, over every set of at most
+    # n + 1 anchors, with its own unstacked tie solve, kept verbatim as the
+    # reference the stacked pass must match candidate by candidate
+    m = inst.m
+    P, w = inst.points, inst.weights
+    p_sq = np.einsum("ij,ij->i", P, P)
+    a, B = w * (1.0 + p_sq), 2.0 * w[:, None] * P
+    out = []
+    for k in range(1, min(m, inst.dim + 1) + 1):
+        for A in combinations(range(m), k):
+            idx = list(A)
+            u, sv, vt = np.linalg.svd(B[idx[1:]] - B[idx[0]])
+            rank = int(np.sum(sv > 1e-12 * sv[0])) if sv.size else 0
+            c = vt[:rank].T @ ((u[:, :rank].T @ (a[idx[1:]] - a[idx[0]])) / sv[:rank])
+            dirs, room = vt[rank:], 1.0 - float(c @ c)
+            if room >= 0.0 and len(dirs):
+                b0 = B[idx[0]]
+                g = dirs @ b0
+                gn = float(np.linalg.norm(g))
+                flat = gn <= 1e-12 * max(1.0, float(np.linalg.norm(b0)))
+                step = math.sqrt(room) * (dirs[0] if flat else dirs.T @ g / gn)
+                for x in (c + step, c - step):
+                    out.append(x / float(np.linalg.norm(x)))
+
+            PA, wA, sqA = P[idx], w[idx], p_sq[idx]
+            G = PA.T
+            L = -2.0 * (wA[:, None] * PA) @ G
+            M2 = np.zeros((k + 1, k + 1))
+            M2[:k, :k] = L
+            M2[:k, k] = -1.0
+            M2[k, :k] = 1.0
+            r_const = np.concatenate([-(wA * sqA), [1.0]])
+            r_lin = np.concatenate([-wA, [0.0]])
+            z, *_ = np.linalg.lstsq(M2, np.column_stack([r_const, r_lin]), rcond=None)
+            x0 = G @ z[:k, 0]
+            x1 = G @ z[:k, 1]
+            qa = float(x1 @ x1)
+            qb = 2.0 * float(x0 @ x1) - 1.0
+            qc = float(x0 @ x0)
+            if qa <= 1e-16:
+                roots = [-qc / qb] if abs(qb) > 1e-16 else []
+            else:
+                disc = qb * qb - 4.0 * qa * qc
+                sq = math.sqrt(disc) if disc >= 0.0 else None
+                roots = [] if sq is None else [(-qb + sq) / (2 * qa), (-qb - sq) / (2 * qa)]
+            for u in roots:
+                if u < -1e-12:
+                    continue
+                x = x0 + max(u, 0.0) * x1
+                if np.linalg.norm(x) <= 1.0 + 1e-9:
+                    out.append(_project(x, True))
+    return np.asarray(out)
+
+
+def test_stacked_enumeration_matches_per_set_loop():
+    # anchors in general position, so no tie set is flat (there the sphere
+    # step takes an arbitrary direction of the set).  The same candidates
+    # come in the same order.  The stacked SVDs round differently from
+    # lstsq, and a double root of the u-quadratic passes that rounding
+    # through a square root, so points agree to sqrt(eps) times the
+    # coefficients' size (1e-6), and the best value to 1e-14 relative.
+    rng = np.random.default_rng(12)
+    compared = 0
+    for k in range(40):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 9))
+        w = rng.uniform(0.3, 3.0, m) if k % 2 else np.ones(m)
+        inst = DispersionInstance(dim=n, points=rng.normal(size=(m, n)), weights=w,
+                                  geometry=Geometry.BALL)
+        stacked = _stationary_candidates(inst)[0]
+        loop = _reference_stationary_candidates(inst)
+        assert stacked.shape == loop.shape, (k, n, m)
+        assert np.abs(stacked - loop).max() <= 1e-6, (k, n, m)
+        best, best_loop = (float(evaluate_batch(inst, c).max()) for c in (stacked, loop))
+        assert abs(best - best_loop) <= 1e-14 * max(1.0, best_loop), (k, n, m)
+        compared += len(loop)
+    assert compared > 1000
+
+
+_FAMILIES = ("duplicate", "antiparallel", "cospherical", "integer", "hardness", "weighted")
+
+
+def _family_ball(family, n, m, seed):
+    """A ball instance with m anchors in R^n of one degenerate family; unit
+    weights except "weighted".  "hardness" takes n as the partition size and
+    emits its 2n anchors +-L_i of one norm."""
+    rng = np.random.default_rng(seed)
+    if family == "hardness":
+        return build_hardness(rng.integers(1, 9, size=n)).instance
+    pts = rng.normal(size=(m, n))
+    w = rng.uniform(0.3, 3.0, m) if family == "weighted" else np.ones(m)
+    if family == "duplicate":
+        pts[-1] = pts[0]
+    elif family == "antiparallel":
+        pts[-1] = -pts[0]
+    elif family == "cospherical":  # the center ties every anchor
+        pts *= 3.0 / np.linalg.norm(pts, axis=1, keepdims=True)
+    elif family == "integer":
+        pts = rng.integers(-2, 3, size=(m, n)).astype(float)
+    return DispersionInstance(dim=n, points=pts, weights=w, geometry=Geometry.BALL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(_FAMILIES), n=st.integers(1, 5), m=st.integers(1, 12),
+       seed=st.integers(0, 2**16))
+def test_enumeration_between_feasible_batch_and_relaxation_bound(family, n, m, seed):
+    # the relaxation bounds the optimum from above, and a fixed feasible
+    # batch, drawn without the oracle, bounds it from below; the degenerate
+    # families give the stacked pass rank-deficient and padded systems
+    inst = _family_ball(family, n, m, seed)
+    res = solve_global(inst)
+    assert res.certified_radius.startswith("enumerated")
+    rel = solve_cr_ball(inst, tol=1e-12)
+    scale = max(1.0, res.value)
+    assert res.value <= rel.zeta_star + rel.gap + 1e-12 * scale
+    batch = _feasible_samples(inst, 4096, np.random.default_rng(0))
+    assert res.value >= float(evaluate_batch(inst, batch).max()) - 1e-12 * scale
 
 
 _coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)

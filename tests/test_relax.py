@@ -26,6 +26,7 @@ from maxdisp import (
     solve_cr_ball,
     solve_cr_box,
 )
+from maxdisp import relax
 
 THREE_POINTS = DispersionInstance(
     dim=2,
@@ -174,6 +175,29 @@ def test_closed_start_runs_no_solve(geom):
     res = solver(DispersionInstance(2, pts, np.ones(3), geom))
     assert res.iterations == 0 and res.gap == 0.0 and res.converged
     assert np.all(res.x_star == 0.0)
+
+
+def test_polish_solves_each_support_once(monkeypatch):
+    # a face point depends on its support alone, so one solve never needs
+    # the same support twice, however many tau rounds repeat it
+    supports = []
+
+    def recording_face_point(a, B, act):
+        supports.append(tuple(act.tolist()))
+        return face_point(a, B, act)
+
+    face_point = relax._face_point
+    monkeypatch.setattr(relax, "_face_point", recording_face_point)
+    rng = np.random.default_rng(3)
+    solved = 0
+    for k in range(30):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(2, n + 1)) if k % 2 else int(rng.integers(n + 1, 3 * n + 1))
+        supports.clear()
+        solve_cr_ball(generate_random(n, m, seed=600 + k))
+        assert len(supports) == len(set(supports)), (n, m, k)
+        solved += len(supports)
+    assert solved > 30
 
 
 def test_box_is_certified_by_its_lp_duals(monkeypatch):
