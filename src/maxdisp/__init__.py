@@ -4,8 +4,9 @@ Find a point of the unit ball or the unit box that maximizes the smallest
 weighted squared distance to a given set of anchor points.  The package
 provides certified convex relaxations with matrix lifts, an exact method for
 the polynomially solvable case, randomized samplers with multiplicative
-guarantees, a hardness-reduction instance generator, a sampling oracle, and
-a benchmark harness.  `maxdisp` on the command line exposes the same layers.
+guarantees, a hardness-reduction instance generator, a stationary-point
+oracle, and a benchmark harness.  `maxdisp` on the command line exposes the
+same layers.
 """
 
 from .approx import (

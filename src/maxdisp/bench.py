@@ -2,10 +2,11 @@
 
 One protocol, fully deterministic given a seed: for each anchor count m a
 fresh ball instance is carved out of a single shared uniform stream, the
-convex relaxation is solved once, the sampling oracle estimates the true
-optimum, and both samplers run `runs` times each from per-run seeded
-generators.  Records carry the usual summary statistics plus the per-run
-values, and serialize to CSV or a markdown table with stable formatting.
+convex relaxation is solved once, the oracle's best stationary point stands
+in for the true optimum, and both samplers run `runs` times each from
+per-run seeded generators.  Records carry the usual summary statistics plus
+the per-run values, and serialize to CSV or a markdown table with stable
+formatting.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the library layers:
 
-    solve         global value of an instance (sampling oracle or exact method)
+    solve         global value of an instance (stationary enumeration or exact method)
     relax         convex relaxation value, optionally with the lifted matrix
     approx        repeated runs of one of the randomized samplers
     bench         the full benchmark protocol, CSV or markdown
@@ -198,12 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="estimate or (when applicable) solve an instance exactly")
+    p = sub.add_parser("solve", help="best stationary point of an instance, or (when "
+                       "applicable) its exact solution")
     p.add_argument("instance", help="path to an instance JSON file")
     p.add_argument("--exact", action="store_true", help="use the sign-direction exact method")
-    p.add_argument("--budget", type=int, default=200_000,
-                   help="oracle sample budget; unused on balls with m <= 12 (enumerated)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=200_000, help="accepted, unused")
+    p.add_argument("--seed", type=int, default=0, help="accepted, unused")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("relax", help="solve the convex relaxation")
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--rho", type=float, default=0.9999)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-budget", type=int, default=200_000)
+    p.add_argument("--oracle-budget", type=int, default=200_000, help="accepted, unused")
     p.add_argument("--out", default=None, help="write to this path instead of stdout")
     p.add_argument("--format", choices=["csv", "md"], default="csv")
     p.set_defaults(func=_cmd_bench)

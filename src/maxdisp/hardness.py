@@ -268,7 +268,7 @@ def verify_reduction(
     budget: int = 200_000,
     rng: np.random.Generator | None = None,
 ) -> ReductionReport:
-    """Compare the search oracle on the emitted instance with the closed form.
+    """Compare the enumeration oracle on the emitted instance with the closed form.
 
     The predicted value is 2 - 1/sqrt(v(BQP)) with
     Q = (Lambda - a a^T) / 4; when the partition is feasible this equals

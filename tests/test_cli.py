@@ -1,11 +1,12 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from maxdisp import DispersionInstance, Geometry, generate_random, write_instance
+from maxdisp import DispersionInstance, Geometry, generate_random, oracle, write_instance
 from maxdisp.cli import main
 
 
@@ -54,7 +55,7 @@ def test_solve_oracle_json(ball_path, capsys):
     assert doc["method"] == "oracle"
     assert len(doc["x"]) == 4
     assert doc["value"] > 0
-    # a ball with m <= 12 is enumerated: nothing sampled, so best_sampled is null
+    # the oracle enumerates and samples nothing, so best_sampled is null
     trace = doc["method_trace"]
     assert set(trace) == {
         "samples", "best_sampled", "stationary_candidates", "active_sets",
@@ -63,6 +64,20 @@ def test_solve_oracle_json(ball_path, capsys):
     }
     assert trace["best_sampled"] is None and trace["samples"] == 0
     assert trace["active_sets"] > 0
+
+
+def test_solve_above_size_limit_fails_before_enumerating(tmp_path, capsys, monkeypatch):
+    # 12 dimensions and 40 anchors give sum over k <= 13 of C(40, k) active
+    # sets, above the oracle's limit: it must refuse before building any set
+    def no_enumeration(inst):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(oracle, "_active_sets", no_enumeration)
+    path = tmp_path / "big.json"
+    write_instance(generate_random(12, 40, seed=0), path)
+    assert main(["solve", str(path)]) == 1
+    count = sum(math.comb(40, k) for k in range(1, 14))
+    assert f"{count:,}" in capsys.readouterr().err
 
 
 def test_solve_exact_json(tmp_path, capsys):
