@@ -40,7 +40,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .instance import DispersionInstance, Geometry, evaluate, evaluate_batch
-from .relax import _tie_set
+from .relax import _padded_sets, _tie_set
 
 __all__ = ["OracleResult", "solve_global"]
 
@@ -60,18 +60,6 @@ class OracleResult:
     value: float
     method_trace: dict
     certified_radius: str
-
-
-@lru_cache(maxsize=None)
-def _padded_sets(m, k):
-    """Read-only arrays over every subset of at most k of m indices, by size,
-    then in combinations order: the subsets padded to k entries by repeating
-    their first index, and their sizes."""
-    sets = [A for size in range(1, k + 1) for A in combinations(range(m), size)]
-    idx = np.array([A + A[:1] * (k - len(A)) for A in sets], dtype=np.intp)
-    size = np.array([len(A) for A in sets], dtype=np.intp)
-    idx.flags.writeable = size.flags.writeable = False
-    return idx, size
 
 
 @lru_cache(maxsize=None)

@@ -182,12 +182,13 @@ def test_polish_solves_each_support_once(monkeypatch):
     # the same support twice, however many tau rounds repeat it
     supports = []
 
-    def recording_face_point(a, B, act):
-        supports.append(tuple(act.tolist()))
-        return face_point(a, B, act)
+    def recording_face_points(a, B, acts):
+        # a row is its support padded by repeats of its first index
+        supports.extend(tuple(dict.fromkeys(row)) for row in acts.tolist())
+        return face_points(a, B, acts)
 
-    face_point = relax._face_point
-    monkeypatch.setattr(relax, "_face_point", recording_face_point)
+    face_points = relax._face_points
+    monkeypatch.setattr(relax, "_face_points", recording_face_points)
     rng = np.random.default_rng(3)
     solved = 0
     for k in range(30):
@@ -198,6 +199,44 @@ def test_polish_solves_each_support_once(monkeypatch):
         assert len(supports) == len(set(supports)), (n, m, k)
         solved += len(supports)
     assert solved > 30
+
+
+def _start_family(kind, n, m, rng):
+    """An m <= n ball of one of five kinds: unit weights, U(0.3, 3) weights,
+    anchors scaled by 10^U(-4, 2), an antiparallel pair, repeated anchors."""
+    pts, w = rng.uniform(-1.0, 1.0, (m, n)), np.ones(m)
+    if kind == "weighted":
+        w = rng.uniform(0.3, 3.0, m)
+    elif kind == "scaled":
+        pts *= 10.0 ** rng.uniform(-4.0, 2.0)
+    elif kind == "antiparallel" and m >= 2:
+        pts[1] = -pts[0] * rng.uniform(0.5, 2.0)
+    elif kind == "repeated" and m >= 2:
+        pts[m // 2 :] = pts[: m - m // 2]
+    return DispersionInstance(n, pts, w, Geometry.BALL)
+
+
+@pytest.mark.parametrize(
+    "seed, kind", enumerate(["unit", "weighted", "scaled", "antiparallel", "repeated"])
+)
+def test_face_point_start_matches_barrier(seed, kind, monkeypatch):
+    # with m <= n every support is one of the 2^m - 1 sets the start solves,
+    # so the start closes where the barrier (forced by a cut-off of 0) does
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        n = int(rng.integers(1, 11))
+        inst = _start_family(kind, n, int(rng.integers(1, min(n, 8) + 1)), rng)
+        start = solve_cr_ball(inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(relax, "_START_MAX", 0)
+            barrier = solve_cr_ball(inst)
+        assert start.iterations == 0 and start.converged
+        # both ends are rounded: the gap is clamped at 0 where U rounds below F
+        scale = max(1.0, abs(barrier.zeta_star))
+        low, high = barrier.zeta_star - 1e-12 * scale, barrier.zeta_star + barrier.gap
+        assert low <= start.zeta_star <= high + 4 * np.finfo(float).eps * scale
+    # above the cut-off the barrier runs
+    assert solve_cr_ball(generate_random(10, 9, seed=7)).iterations > 0
 
 
 def test_box_is_certified_by_its_lp_duals(monkeypatch):
