@@ -97,8 +97,7 @@ def run_benchmark(
         rr = solve_cr_ball(inst)
         lft = lift_ball(rr, inst)
 
-        oracle_rng = np.random.default_rng(np.random.SeedSequence([seed, m, 1]))
-        orc = solve_global(inst, budget=oracle_budget, rng=oracle_rng)
+        orc = solve_global(inst, budget=oracle_budget)
 
         gen_vals = []
         gen_bound = None

@@ -61,8 +61,7 @@ def _cmd_solve(args) -> int:
             }
         )
         return 0
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-    res = solve_global(inst, budget=args.budget, rng=rng)
+    res = solve_global(inst, budget=args.budget)
     _emit_json(
         {
             "method": "oracle",

@@ -15,7 +15,9 @@ is 1, so it lies in a facet whose outer normal has a negative last
 component: a lower facet.  Only the subsets of lower facets are solved.  The
 hull comes from Qhull (scipy.spatial.ConvexHull).
 
-On the ball each set gives two sphere points and up to two interior points.
+On the ball each set gives the two sphere points c +- step of its tie set,
+by the rule (relax._sphere_points) whose c and c - step the relaxation
+scores, and up to two interior points.
 On the box each face, its coordinates J fixed at signs sigma, gives interior
 points in its free coordinates, and the 2^n corners are candidates too.
 Sets are solved in stacked passes of at most _BLOCK sets.  Instances with
@@ -40,7 +42,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .instance import DispersionInstance, Geometry, evaluate, evaluate_batch
-from .relax import _padded_sets, _tie_set
+from .relax import _padded_sets, _sphere_points
 
 __all__ = ["OracleResult", "solve_global"]
 
@@ -127,37 +129,6 @@ def _active_sets(inst):
     return np.concatenate(idx), np.concatenate(size)
 
 
-def _norms(X):
-    """Euclidean norms along the last axis, each the square root of one
-    row-vector product, which rounds as np.linalg.norm of one vector does."""
-    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
-
-
-def _sphere_points(a, B, sets):
-    """Each set's two sphere points, and whether it has them.
-
-    On the sphere each term is the ball relaxation's piece a_i - b_i.x, so the
-    ties of a set cut out an affine set, and the common value is stationary at
-    the set's two sphere points along the set's part of b_0, or along any
-    direction of the set where b_0.x is constant on it (antiparallel or
-    repeated anchors).
-    """
-    n = B.shape[1]
-    c, vt, rank, room = _tie_set(a, B, sets)
-    b0 = B[sets[:, 0]]
-    g = np.where(np.arange(n) >= rank[:, None], (vt @ b0[:, :, None])[:, :, 0], 0.0)
-    gn = _norms(g)
-    flat = gn <= 1e-12 * np.maximum(1.0, _norms(b0))
-    along = (g[:, None, :] @ vt)[:, 0] / np.where(flat, 1.0, gn)[:, None]
-    step = np.where(flat[:, None], vt[np.arange(len(sets)), np.minimum(rank, n - 1)], along)
-    step *= np.sqrt(np.maximum(room, 0.0))[:, None]
-    ends = np.stack([c + step, c - step], axis=1)
-    # a tie set that is one point lies on the tie line of a subset
-    on_sphere = (room >= 0.0) & (rank < n)
-    ends /= np.where(on_sphere[:, None], _norms(ends), 1.0)[:, :, None]
-    return ends, on_sphere
-
-
 def _face_points(P, w, c, shift, sets, size):
     """Each set's interior stationary points on one face, in its free coordinates.
 
@@ -212,13 +183,15 @@ def _candidate_blocks(inst, sets, size):
         a, B = w * (1.0 + p_sq), 2.0 * w[:, None] * P
         for s in range(0, len(sets), _BLOCK):
             block, sizes = sets[s : s + _BLOCK], size[s : s + _BLOCK]
-            ends, on_sphere = _sphere_points(a, B, block)
+            c, step, on_sphere = _sphere_points(a, B, block)
             inner, ok = _face_points(P, w, p_sq, 0.0, block, sizes)
-            nrm = _norms(inner)
-            ok &= nrm <= 1.0 + 1e-9
-            inner /= np.maximum(1.0, nrm)[:, :, None]
-            valid = np.column_stack([on_sphere, on_sphere, ok])
-            yield np.concatenate([ends, inner], axis=1)[valid], len(block)
+            X = np.concatenate([np.stack([c + step, c - step], axis=1), inner], axis=1)
+            # as row-vector products, which round as np.linalg.norm of one vector
+            nrm = np.sqrt((X[:, :, None, :] @ X[:, :, :, None])[:, :, 0, 0])
+            valid = np.column_stack([on_sphere, on_sphere, ok & (nrm[:, 2:] <= 1.0 + 1e-9)])
+            nrm[:, 2:] = np.maximum(1.0, nrm[:, 2:])  # roots into the ball, ends onto the sphere
+            X /= np.where(valid, nrm, 1.0)[:, :, None]
+            yield X[valid], len(block)
         return
     yield np.array(list(product((-1.0, 1.0), repeat=n))), 0
     for k in range(n):

@@ -18,8 +18,11 @@ with N the Euclidean norm on the ball and the l1 norm on the box, bounds the
 value from above, and any feasible x bounds it from below by F(x), so the
 returned gap is a certificate independent of how the solver got there.  On
 the box the LP's own duals are that simplex vector; on the ball an active-set
-polish takes both sides to rounding level.  With m <= min(n, 8) pieces the
-face points of all sets of pieces come first; the barrier runs only if a gap is left.
+polish takes both sides to rounding level.  A set of pieces has face points
+where all of them tie: the tie set's minimum-norm point c and, where the set
+meets the sphere, c - step (_sphere_points, whose c + step the oracle uses
+too).  With m <= min(n, 8) pieces the face points of all sets of pieces come
+first; the barrier runs only if a gap is left.
 
 The optimum also induces a feasible matrix for the semidefinite relaxation of
 the same problem (`lift_ball`, `lift_box`), realizing the equivalence between
@@ -83,11 +86,10 @@ class _Certificate:
 
     Nothing else a solver returns reaches the result, so its tolerances never
     do.  It starts at the origin and the singleton on its smallest piece.
-    faces holds the supports whose face points have been offered.
     """
 
     def __init__(self, a, B, ball):
-        self.a, self.B, self.ball, self.faces = a, B, ball, set()
+        self.a, self.B, self.ball = a, B, ball
         self.x, self.f, self.upper = np.zeros(B.shape[1]), float(np.min(a)), math.inf
         self.offer_bound(np.eye(1, a.size, int(np.argmin(a)))[0])
 
@@ -103,8 +105,11 @@ class _Certificate:
         self.upper = min(self.upper, float(lam @ self.a + norm))
 
     def offer_faces(self, acts):
-        """Offer the best ball face point of the rows of acts, scored by F at once."""
-        X = _face_points(self.a, self.B, acts)
+        """Offer the best ball face point of the rows of acts, scored by F at once:
+        each tie set's minimum-norm point c, then c - step where it has sphere
+        points, so a tie in F keeps c."""
+        c, step, on_sphere = _sphere_points(self.a, self.B, acts)
+        X = np.concatenate([c, (c - step)[on_sphere]])
         X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
         self.offer_point(X[np.argmax(np.min(self.a - X @ self.B.T, axis=1))])
 
@@ -135,71 +140,72 @@ def _multipliers(B, x, act):
     return out
 
 
-def _tie_set(a, B, acts):
-    """The affine sets on which every piece of a row of acts takes the same value.
+def _sphere_points(a, B, acts):
+    """The tie-set geometry of each row of acts: where its pieces take one value.
 
     acts is a stack of index rows; a row may repeat its first index, which
     adds the exact zero tie 0.x = 0.  Each row's ties (b_i - b_0).x = a_i - a_0
-    are solved by one stacked SVD, with lstsq's cutoff 1e-12 s_0.  Returns,
-    per row, the minimum-norm point c, the right singular vectors vt and the
-    rank r (rows r: of vt are an orthonormal basis of the set's directions,
-    all orthogonal to c), and the room 1 - ||c||^2 left inside the ball.
+    cut out an affine set, solved by one stacked SVD with lstsq's cutoff
+    1e-12 s_0.  Returns, per row, the set's minimum-norm point c, a step such
+    that c +- step lie on the sphere, and whether they do (the set meets the
+    ball and is more than a point).  On the sphere the common value is
+    stationary along the set's part of -b_0, or along any direction of the
+    set where b_0.x is constant on it (antiparallel or repeated anchors).
     """
+    n = B.shape[1]
     u, sv, vt = np.linalg.svd(B[acts[:, 1:]] - B[acts[:, :1]])
     keep, r = sv > 1e-12 * sv[:, :1], sv.shape[1]
-    # row-vector products: a stack of one rounds as one matrix-vector product
+    # row-vector products: a stack of one rounds as one matrix-vector product,
+    # and a norm as np.linalg.norm of one vector
     proj = ((a[acts[:, 1:]] - a[acts[:, :1]])[:, None, :] @ u[:, :, :r])[:, 0]
     c = ((proj / np.where(keep, sv, np.inf))[:, None, :] @ vt[:, :r])[:, 0]
-    return c, vt, keep.sum(axis=1), 1.0 - (c[:, None, :] @ c[:, :, None])[:, 0, 0]
+    rank, room = keep.sum(axis=1), 1.0 - (c[:, None, :] @ c[:, :, None])[:, 0, 0]
+    b0 = B[acts[:, 0]]
+    g = np.where(np.arange(n) >= rank[:, None], (vt @ b0[:, :, None])[:, :, 0], 0.0)
+    gn = np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
+    flat = gn <= 1e-12 * np.maximum(1.0, np.sqrt((b0[:, None, :] @ b0[:, :, None])[:, 0, 0]))
+    along = (g[:, None, :] @ vt)[:, 0] / np.where(flat, 1.0, gn)[:, None]
+    step = np.where(flat[:, None], vt[np.arange(len(acts)), np.minimum(rank, n - 1)], along)
+    step *= np.sqrt(np.maximum(room, 0.0))[:, None]
+    # a tie set that is one point lies on the tie line of a subset
+    return c, step, (room >= 0.0) & (rank < n)
+
+
+def _pad(sets, k):
+    """Index tuples as the rows of one array, padded to k entries by repeating
+    their first index."""
+    return np.array([A + A[:1] * (k - len(A)) for A in sets], dtype=np.intp)
 
 
 @lru_cache(maxsize=None)
 def _padded_sets(m, k):
     """Read-only arrays over every subset of at most k of m indices, by size,
-    then in combinations order: the subsets padded to k entries by repeating
-    their first index, and their sizes."""
+    then in combinations order: the subsets padded to k entries (_pad), and
+    their sizes."""
     sets = [A for size in range(1, k + 1) for A in combinations(range(m), size)]
-    idx = np.array([A + A[:1] * (k - len(A)) for A in sets], dtype=np.intp)
-    size = np.array([len(A) for A in sets], dtype=np.intp)
+    idx, size = _pad(sets, k), np.array([len(A) for A in sets], dtype=np.intp)
     idx.flags.writeable = size.flags.writeable = False
     return idx, size
-
-
-def _face_points(a, B, acts):
-    """Per row of acts, the best point of the ball at which every piece of the row
-    takes the same value: the tie set's minimum-norm point, stepped to the sphere
-    along the set's part of -b_0 (n + 1 independent ties leave just the point)."""
-    b0, (c, vt, rank, room) = B[acts[:, 0]], _tie_set(a, B, acts)
-    g = np.where(np.arange(B.shape[1]) >= rank[:, None], (vt @ b0[:, :, None])[:, :, 0], 0.0)
-    gn = np.linalg.norm(g, axis=1)
-    move = (room > 0.0) & (gn > 1e-12 * np.maximum(1.0, np.linalg.norm(b0, axis=1)))
-    step = np.sqrt(np.where(move, room, 0.0)) / np.where(move, gn, 1.0)
-    return c - (g[:, None, :] @ vt)[:, 0] * step[:, None]
 
 
 def _polish(cert, lam):
     """One pass of exact solves on two ball active sets: the top n + 1 entries
     of lam, and the pieces within 1e-3 relative of the minimum at cert.x (at
-    most 3n + 6 of them).  Each set yields multipliers, and the supports of
-    the multipliers not yet in cert.faces get their face points in one
-    stacked pass: a face point depends on its support alone.
+    most 3n + 6 of them).  Offers the bound of each set's multipliers and
+    returns their supports, whose face points the caller offers: a face point
+    depends on its support alone.
     """
     a, B, n = cert.a, cert.B, cert.B.shape[1]
     order = np.argsort(r := a - B @ cert.x, kind="stable")
     k = np.searchsorted(r[order], cert.f + 1e-3 * max(1.0, abs(cert.f)), "right")
     sets = {tuple(np.sort(np.argsort(-lam, kind="stable")[: n + 1])),
             tuple(np.sort(order[: min(max(k, 1), 3 * n + _ACTIVE_CAP_PAD)]))}
-    new = []
+    supports = []
     for act in sorted(sets):
         for mult in _multipliers(B, cert.x, np.array(act)):
             cert.offer_bound(mult)
-            support = tuple(np.flatnonzero(mult).tolist())
-            if support not in cert.faces:
-                cert.faces.add(support)
-                new.append(support)
-    if new:
-        width = max(map(len, new))
-        cert.offer_faces(np.array([s + s[:1] * (width - len(s)) for s in new]))
+            supports.append(tuple(np.flatnonzero(mult).tolist()))
+    return supports
 
 
 def _solve_box(cert, tol, fine, max_iter):
@@ -229,10 +235,9 @@ def _solve_ball(cert, tol, fine, max_iter):
     face-point start (m <= min(n, _START_MAX)) returns 0 if it closes the gap.
     """
     a, B, (m, n) = cert.a, cert.B, cert.B.shape
-    if m <= min(n, _START_MAX):
-        acts, size = _padded_sets(m, m)
-        cert.faces.update(tuple(A[:k]) for A, k in zip(acts.tolist(), size.tolist()))
-        cert.offer_faces(acts)
+    start, offered = m <= min(n, _START_MAX), set()  # supports whose face points are offered
+    if start:
+        cert.offer_faces(_padded_sets(m, m)[0])
         _polish(cert, np.ones(m))  # with m <= n its first set is every piece
         if cert.upper - cert.f <= fine:
             return 0
@@ -265,7 +270,12 @@ def _solve_ball(cert, tol, fine, max_iter):
         else:  # centered, out of steps, or stalled
             cert.offer_point(x)
             cert.offer_bound(d / d.sum())
-            _polish(cert, d / d.sum())
+            supports = dict.fromkeys(_polish(cert, d / d.sum()))
+            # the start offers the face point of every support
+            new = [] if start else [sup for sup in supports if sup not in offered]
+            if new:
+                offered.update(new)
+                cert.offer_faces(_pad(new, max(map(len, new))))
             closed = cert.upper - cert.f <= fine or (m + 1) / tau < 1e-3 * tol
             if closed or steps >= max_iter or -slope > 2e-6:
                 return steps

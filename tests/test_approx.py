@@ -1,6 +1,7 @@
 """Randomized rounding samplers: guarantees, acceptance bookkeeping, budgets."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from maxdisp import (
     tail_s_inverse,
 )
 
+# the guarantee must hold at every allowed rho, not only near the middle
+_SWEEP_RHOS = (0.9, 0.9999, 0.5, 1e-9)
+
 
 def test_ball_guarantee_sweep():
     # acceptance is a deterministic certificate: once a draw passes the
@@ -34,9 +38,9 @@ def test_ball_guarantee_sweep():
         m = int(rng_top.integers(2, 15))
         inst = generate_random(n, m, seed=1000 + k)
         rel = solve_cr_ball(inst, tol=1e-9)
-        for seed in range(3):
-            res = approx_ball(inst, 0.9, np.random.default_rng(seed))
-            assert res.f_value >= res.bound_r * rel.zeta_star - 1e-9
+        for rho, seed in product(_SWEEP_RHOS, range(3)):
+            res = approx_ball(inst, rho, np.random.default_rng(seed))
+            assert res.f_value >= res.bound_r * rel.zeta_star - 1e-9, (rho, k)
             assert abs(evaluate(inst, res.x_tilde).value - res.f_value) < 1e-12 * max(
                 1.0, res.f_value
             )
@@ -72,16 +76,17 @@ def test_general_guarantee_sweep(geom):
         inst = generate_random(n, m, seed=2000 + k, geometry=geom)
         rel = solver(inst, tol=1e-9)
         lift = lifter(rel, inst)
-        res = approx_general_fixed(
-            inst, 0.9, np.random.default_rng(k), lift=lift, relaxation=rel
-        )
-        assert res.f_value >= res.bound_r * rel.zeta_star - 1e-9
-        assert inst.contains(res.x_tilde)
-        alpha = math.sqrt(2.0 * math.log(m / 0.9))
-        assert abs(res.alpha_used - alpha) < 1e-12
-        g1 = gamma1(lift)
-        assert abs(res.bound_r - (1.0 - alpha * math.sqrt(g1)) / 2.0) < 1e-10
-        assert res.refined_bound is None
+        for rho in _SWEEP_RHOS:
+            res = approx_general_fixed(
+                inst, rho, np.random.default_rng(k), lift=lift, relaxation=rel
+            )
+            assert res.f_value >= res.bound_r * rel.zeta_star - 1e-9, (rho, k)
+            assert inst.contains(res.x_tilde)
+            alpha = math.sqrt(2.0 * math.log(m / rho))
+            assert abs(res.alpha_used - alpha) < 1e-12
+            g1 = gamma1(lift)
+            assert abs(res.bound_r - (1.0 - alpha * math.sqrt(g1)) / 2.0) < 1e-10
+            assert res.refined_bound is None
 
 
 def test_general_solves_internally_when_not_given():

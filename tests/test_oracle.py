@@ -197,12 +197,13 @@ def test_enumeration_solves_only_sets_of_at_most_n_plus_one(monkeypatch):
     # padding, so a set's size is its count of distinct anchors
     sizes = []
 
-    def recording_tie_set(a, B, acts):
+    def recording_sphere_points(a, B, acts):
         sizes.extend(len(set(row)) for row in acts.tolist())
-        return tie_set(a, B, acts)
+        return sphere_points(a, B, acts)
 
-    tie_set = oracle._tie_set
-    monkeypatch.setattr(oracle, "_tie_set", recording_tie_set)
+    # the oracle's own binding of relax._sphere_points
+    sphere_points = oracle._sphere_points
+    monkeypatch.setattr(oracle, "_sphere_points", recording_sphere_points)
     inst = generate_random(5, 12, seed=8)
     res = solve_global(inst)
     assert res.method_trace["stationary_candidates"] > 0

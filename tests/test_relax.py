@@ -3,7 +3,8 @@
 Every solve is checked two ways: the returned point must be feasible with
 matching objective (lower-bound route), and no sampled feasible point may
 beat zeta_star + gap (upper-bound route). The two routes only share the
-instance container.
+instance container. On the box, an interior-point solve of the same LP must
+also land in [zeta_star, zeta_star + gap].
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from maxdisp import (
     DispersionInstance,
@@ -25,6 +27,7 @@ from maxdisp import (
     lift_box,
     solve_cr_ball,
     solve_cr_box,
+    solve_global,
 )
 from maxdisp import relax
 
@@ -182,13 +185,13 @@ def test_polish_solves_each_support_once(monkeypatch):
     # the same support twice, however many tau rounds repeat it
     supports = []
 
-    def recording_face_points(a, B, acts):
+    def recording_sphere_points(a, B, acts):
         # a row is its support padded by repeats of its first index
         supports.extend(tuple(dict.fromkeys(row)) for row in acts.tolist())
-        return face_points(a, B, acts)
+        return sphere_points(a, B, acts)
 
-    face_points = relax._face_points
-    monkeypatch.setattr(relax, "_face_points", recording_face_points)
+    sphere_points = relax._sphere_points
+    monkeypatch.setattr(relax, "_sphere_points", recording_sphere_points)
     rng = np.random.default_rng(3)
     solved = 0
     for k in range(30):
@@ -237,6 +240,19 @@ def test_face_point_start_matches_barrier(seed, kind, monkeypatch):
         assert low <= start.zeta_star <= high + 4 * np.finfo(float).eps * scale
     # above the cut-off the barrier runs
     assert solve_cr_ball(generate_random(10, 9, seed=7)).iterations > 0
+
+
+def test_flat_optimal_face_shares_the_tie_set_rule():
+    # with anchors (1, 0) and (-1, 0) every point of the tie line x_1 = 0 in
+    # the disc has relaxed value 2: the relaxation keeps the line's
+    # minimum-norm point, and the oracle steps along the line to the sphere
+    inst = DispersionInstance(2, np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2), Geometry.BALL)
+    rel = solve_cr_ball(inst)
+    assert rel.x_star.tolist() == [0.0, 0.0]
+    assert rel.zeta_star == 2.0 and rel.converged
+    res = solve_global(inst)
+    assert abs(np.linalg.norm(res.x_best) - 1.0) <= 1e-15
+    assert res.value == 2.0
 
 
 def test_box_is_certified_by_its_lp_duals(monkeypatch):
@@ -324,6 +340,14 @@ def test_certificate_properties(inst, seed):
     assert res.converged
     cloud = _feasible_cloud(inst, 2000, np.random.default_rng(seed))
     assert np.max(_relaxed_objective(inst, cloud)) <= res.zeta_star + res.gap + 1e-9
+    if inst.geometry is Geometry.BOX:
+        # the same LP solved independently, by HiGHS's interior-point method
+        m, n = B.shape
+        lp = linprog(np.append(np.zeros(n), -1.0), np.hstack([B, np.ones((m, 1))]), a,
+                     bounds=[(-1.0, 1.0)] * n + [(None, None)], method="highs-ipm")
+        assert lp.success
+        value, slack = -lp.fun, 1e-9 * max(1.0, abs(lp.fun))
+        assert res.zeta_star - slack <= value <= res.zeta_star + res.gap + slack
 
 
 def test_geometry_and_tol_validation():
