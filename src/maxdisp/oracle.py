@@ -2,10 +2,11 @@
 
 solve_global enumerates the stationary points of the maximin objective and
 returns the best.  A local maximum x has an active set, the anchors whose
-terms w_i ||x - p_i||^2 attain the minimum there, and by Caratheodory at
-most n + 1 of them already make x stationary, so solving the stationarity
-system of every set of at most n + 1 anchors, and scoring every solution
-with a full evaluation, reaches every local maximum.
+terms w_i ||x - p_i||^2 attain the minimum there; by Caratheodory at most
+n + 1 of them make x stationary.  Inside a face with free coordinates F
+(the open ball has |F| = n), |F| + 1 of them span the face: else a face
+direction d has every (x - p_i).d over the active set equal, to 0, where d
+raises every active term, or to 1, where it raises them to first order.
 
 Most sets can never be active (Edelsbrunner & Seidel's lifting map).  With
 s = ||x||^2 every term is affine in (x, s): it equals q_i . (x, s, 1) with
@@ -17,9 +18,10 @@ hull comes from Qhull (scipy.spatial.ConvexHull).
 
 On the ball each set gives the two sphere points c +- step of its tie set,
 by the rule (relax._sphere_points) whose c and c - step the relaxation
-scores, and up to two interior points.
-On the box each face, its coordinates J fixed at signs sigma, gives interior
-points in its free coordinates, and the 2^n corners are candidates too.
+scores; on the box each face, its J fixed at signs sigma, gives interior
+points in its free coordinates F, and the 2^n corners are candidates too.
+Interior systems, of every set of at most |F| + 1 anchors, run only where
+|F| < m: none on a ball with m <= n.
 Sets are solved in stacked passes of at most _BLOCK sets.  Instances with
 more than _MAX_SYSTEMS (face, set) systems before pruning are refused: the
 protocol's m = 30 (768,211) and the hardness instances up to n = 10
@@ -175,8 +177,8 @@ def _face_points(P, w, c, shift, sets, size):
 
 def _candidate_blocks(inst, sets, size):
     """The candidate points block by block, each with its count of (face, set)
-    systems: per set the two sphere points, then the interior roots, on the
-    ball; the corners, then each face's interior roots, on the box."""
+    systems: per set the two sphere points, then (if m > n) the interior roots,
+    on the ball; the corners, then the interior roots of faces with |F| < m."""
     P, w, n = inst.points, inst.weights, inst.dim
     p_sq = np.einsum("ij,ij->i", P, P)
     if inst.geometry is Geometry.BALL:
@@ -184,17 +186,19 @@ def _candidate_blocks(inst, sets, size):
         for s in range(0, len(sets), _BLOCK):
             block, sizes = sets[s : s + _BLOCK], size[s : s + _BLOCK]
             c, step, on_sphere = _sphere_points(a, B, block)
-            inner, ok = _face_points(P, w, p_sq, 0.0, block, sizes)
-            X = np.concatenate([np.stack([c + step, c - step], axis=1), inner], axis=1)
+            X, valid = np.stack([c + step, c - step], axis=1), np.stack([on_sphere] * 2, axis=1)
+            if inst.m > n:  # else no set has the n + 1 anchors an interior maximum needs
+                inner, ok = _face_points(P, w, p_sq, 0.0, block, sizes)
+                X, valid = np.concatenate([X, inner], axis=1), np.column_stack([valid, ok])
             # as row-vector products, which round as np.linalg.norm of one vector
             nrm = np.sqrt((X[:, :, None, :] @ X[:, :, :, None])[:, :, 0, 0])
-            valid = np.column_stack([on_sphere, on_sphere, ok & (nrm[:, 2:] <= 1.0 + 1e-9)])
+            valid[:, 2:] &= nrm[:, 2:] <= 1.0 + 1e-9
             nrm[:, 2:] = np.maximum(1.0, nrm[:, 2:])  # roots into the ball, ends onto the sphere
             X /= np.where(valid, nrm, 1.0)[:, :, None]
             yield X[valid], len(block)
         return
     yield np.array(list(product((-1.0, 1.0), repeat=n))), 0
-    for k in range(n):
+    for k in range(max(0, n - inst.m + 1), n):  # faces with |F| = n - k < m
         rows = int(np.searchsorted(size, n - k + 1, side="right"))  # sets of <= |F| + 1
         for J, sigma in product(combinations(range(n), k), product((-1.0, 1.0), repeat=k)):
             J, F = list(J), [j for j in range(n) if j not in J]
@@ -216,10 +220,12 @@ def solve_global(
 ) -> OracleResult:
     """Best stationary point over the active sets the lifted hull keeps.
 
-    `budget` and `rng` are accepted and unused; a negative budget still
-    raises.  An instance with more than 10^6 (face, set) systems before
-    pruning raises ValueError.  Among candidates of equal value the
-    first in enumeration order wins.
+    Interior systems run only on faces with more anchors than free
+    coordinates, the only faces that can hold an interior maximum (none on a
+    ball with m <= n).  `budget` and `rng` are accepted and unused; a
+    negative budget still raises.  An instance with more than 10^6 (face, set)
+    systems before pruning raises ValueError.  Among candidates of equal
+    value the first in enumeration order wins.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")

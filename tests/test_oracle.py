@@ -3,7 +3,7 @@ multistart reference, hull pruning, the size limit and the budget contract."""
 
 import math
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -213,7 +213,9 @@ def test_enumeration_solves_only_sets_of_at_most_n_plus_one(monkeypatch):
 def _reference_stationary_candidates(inst):
     # the per-set loop the stacked pass replaced, over every set of at most
     # n + 1 anchors, with its own unstacked tie solve, kept verbatim as the
-    # reference the stacked pass must match candidate by candidate
+    # reference the stacked pass must match candidate by candidate; with
+    # m <= n no set has the n + 1 anchors an interior maximum needs, and
+    # only the sphere points are kept
     m = inst.m
     P, w = inst.points, inst.weights
     p_sq = np.einsum("ij,ij->i", P, P)
@@ -234,6 +236,8 @@ def _reference_stationary_candidates(inst):
                 step = math.sqrt(room) * (dirs[0] if flat else dirs.T @ g / gn)
                 for x in (c + step, c - step):
                     out.append(x / float(np.linalg.norm(x)))
+            if m <= inst.dim:
+                continue
 
             PA, wA, sqA = P[idx], w[idx], p_sq[idx]
             G = PA.T
@@ -387,6 +391,82 @@ def test_pruned_equals_every_set(family, monkeypatch):
             assert kept == total
         else:
             assert kept < total
+
+
+def _every_interior_system(inst):
+    """solve_global's value, x_best and candidate count when every face
+    solves the interior system of every kept set of at most |F| + 1 anchors:
+    the same candidates in the same order, scored in one batch."""
+    P, w, n = inst.points, inst.weights, inst.dim
+    sets, size = _active_sets(inst)
+    p_sq = np.einsum("ij,ij->i", P, P)
+    if inst.geometry is Geometry.BALL:
+        a, B = w * (1.0 + p_sq), 2.0 * w[:, None] * P
+        c, step, on_sphere = oracle._sphere_points(a, B, sets)
+        inner, ok = _face_points(P, w, p_sq, 0.0, sets, size)
+        X = np.concatenate([np.stack([c + step, c - step], axis=1), inner], axis=1)
+        nrm = np.sqrt((X[:, :, None, :] @ X[:, :, :, None])[:, :, 0, 0])
+        valid = np.column_stack([on_sphere, on_sphere, ok & (nrm[:, 2:] <= 1.0 + 1e-9)])
+        nrm[:, 2:] = np.maximum(1.0, nrm[:, 2:])
+        X /= np.where(valid, nrm, 1.0)[:, :, None]
+        cands = [X[valid]]
+    else:
+        cands = [np.array(list(product((-1.0, 1.0), repeat=n)))]
+        for k in range(n):
+            rows = int(np.searchsorted(size, n - k + 1, side="right"))
+            for J, sigma in product(combinations(range(n), k), product((-1.0, 1.0), repeat=k)):
+                J, F = list(J), [j for j in range(n) if j not in J]
+                c = p_sq - 2.0 * (P[:, J] @ np.array(sigma))
+                inner, ok = _face_points(P[:, F], w, c, float(k), sets[:rows, : len(F) + 1],
+                                         size[:rows])
+                ok &= np.abs(inner).max(axis=2) <= 1.0 + 1e-9
+                x = np.empty(inner.shape[:2] + (n,))
+                x[:, :, F], x[:, :, J] = np.clip(inner, -1.0, 1.0), sigma
+                cands.append(x[ok])
+    X = np.concatenate(cands)
+    best = X[int(np.argmax(evaluate_batch(inst, X)))]
+    return evaluate(inst, best).value, best, len(X)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_skipped_interior_systems_leave_the_result(family):
+    # a face with m <= |F| free coordinates has no set of the |F| + 1 anchors
+    # an interior maximum needs, so its interior systems are skipped: on a
+    # ball with m <= n, and on the box's faces of dimension m and above.
+    # Solving them anyway must not move value or x_best by a bit.  "hardness"
+    # has m = 2n, so there nothing is skipped.
+    for n, m, geom in ((5, 4, Geometry.BALL), (6, 6, Geometry.BALL), (3, 9, Geometry.BALL),
+                       (4, 3, Geometry.BOX), (3, 3, Geometry.BOX)):
+        inst = _family_instance(family, n, m, 10 * n + m, geom)
+        res = solve_global(inst)
+        value, x_best, count = _every_interior_system(inst)
+        case = (family, n, m, geom)
+        assert res.value == value and res.x_best.tobytes() == x_best.tobytes(), case
+        found = res.method_trace["stationary_candidates"]
+        assert found <= count if inst.m <= n else found == count, case
+
+
+def test_interior_systems_only_on_faces_with_more_anchors(monkeypatch):
+    # _face_points runs only on faces with |F| < m, each with its sets of up
+    # to |F| + 1 anchors (a row repeats its first anchor as padding); a ball
+    # with m <= n never calls it
+    calls = []
+
+    def recording_face_points(P, w, c, shift, sets, size):
+        calls.append((P.shape[1], sets.shape[1], max(len(set(r)) for r in sets.tolist())))
+        return face_points(P, w, c, shift, sets, size)
+
+    face_points = oracle._face_points
+    monkeypatch.setattr(oracle, "_face_points", recording_face_points)
+    for n in (2, 6, 10):
+        assert solve_global(generate_random(n, n, seed=8)).method_trace["active_sets"] > 0
+    assert calls == []
+    solve_global(generate_random(5, 12, seed=8))
+    assert calls and set(calls) == {(5, 6, 6)}
+    calls.clear()
+    solve_global(generate_random(5, 3, seed=8, geometry=Geometry.BOX))
+    assert {f for f, _, _ in calls} == {1, 2}  # the faces with |F| < m = 3
+    assert all(k == top == f + 1 for f, k, top in calls)
 
 
 def _slsqp_best(inst, starts, rng):
