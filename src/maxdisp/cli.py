@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -61,16 +60,14 @@ def _cmd_solve(args) -> int:
             }
         )
         return 0
-    res = solve_global(inst, budget=args.budget)
+    res = solve_global(inst)
     _emit_json(
         {
             "method": "oracle",
             "value": res.value,
             "x": [float(v) for v in res.x_best],
             "note": res.certified_radius,
-            # strict JSON has no infinity: an unsampled best_sampled is null
-            "method_trace": {k: v if math.isfinite(v) else None
-                             for k, v in res.method_trace.items()},
+            "method_trace": res.method_trace,
         }
     )
     return 0
@@ -135,7 +132,6 @@ def _cmd_bench(args) -> int:
         runs=args.runs,
         rho=args.rho,
         seed=args.seed,
-        oracle_budget=args.oracle_budget,
     )
     body = to_markdown(records) if args.format == "md" else to_csv(records)
     if args.out:
@@ -201,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "applicable) its exact solution")
     p.add_argument("instance", help="path to an instance JSON file")
     p.add_argument("--exact", action="store_true", help="use the sign-direction exact method")
-    p.add_argument("--budget", type=int, default=200_000, help="accepted, unused")
-    p.add_argument("--seed", type=int, default=0, help="accepted, unused")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("relax", help="solve the convex relaxation")
@@ -225,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--rho", type=float, default=0.9999)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-budget", type=int, default=200_000, help="accepted, unused")
     p.add_argument("--out", default=None, help="write to this path instead of stdout")
     p.add_argument("--format", choices=["csv", "md"], default="csv")
     p.set_defaults(func=_cmd_bench)

@@ -20,16 +20,17 @@ On the ball each set gives the two sphere points c +- step of its tie set,
 by the rule (relax._sphere_points) whose c and c - step the relaxation
 scores; on the box each face, its J fixed at signs sigma, gives interior
 points in its free coordinates F, and the 2^n corners are candidates too.
-Interior systems, of every set of at most |F| + 1 anchors, run only where
-|F| < m: none on a ball with m <= n.
+The ball is the one face with F = all coordinates.  Each face solves the
+interior systems of its sets of exactly |F| + 1 anchors, so only faces with
+|F| < m solve any: none on a ball with m <= n.
 Sets are solved in stacked passes of at most _BLOCK sets.  Instances with
 more than _MAX_SYSTEMS (face, set) systems before pruning are refused: the
 protocol's m = 30 (768,211) and the hardness instances up to n = 10
 (784,625) fit under it.
 
 The result is a reference value, not a certificate; tests always pair it
-with the relaxation upper bound.  method_trace holds the counts (active
-sets, candidates) and the enumeration's seconds.
+with the relaxation upper bound.  method_trace holds the counts (systems
+solved, candidates) and the enumeration's seconds.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _combos(c, k):
 
 
 def _system_count(inst):
-    """(face, set) systems of the enumeration without pruning: every set of at
+    """The count the 10^6 refusal reads, not the work done: every set of at
     most |F| + 1 anchors on each face with |F| >= 1 free coordinates."""
     n, m = inst.dim, inst.m
 
@@ -131,7 +132,7 @@ def _active_sets(inst):
     return np.concatenate(idx), np.concatenate(size)
 
 
-def _face_points(P, w, c, shift, sets, size):
+def _face_points(P, w, c, shift, sets):
     """Each set's interior stationary points on one face, in its free coordinates.
 
     Every term is w_i (u - 2 p_i.x + c_i) with u = ||x||^2 + shift (c_i =
@@ -141,25 +142,22 @@ def _face_points(P, w, c, shift, sets, size):
     Returns the two root points per set and which roots are real with
     u >= shift; the caller checks the region.
 
-    Sets are padded to K entries by repeating their first anchor: the padded
-    block of the system is the identity with a zero right-hand side, solved
-    with lstsq's cutoff eps (k + 1) s_0 for k real anchors.  Sign conditions
-    on the multipliers are not checked; spurious candidates are harmless
-    because every candidate is scored by a full evaluation.
+    Each row of sets holds K distinct anchors; the systems are solved with
+    lstsq's cutoff eps (K + 1) s_0.  Sign conditions on the multipliers are
+    not checked; spurious candidates are harmless because every candidate is
+    scored by a full evaluation.
     """
     count, K = sets.shape
-    real = np.arange(K) < size[:, None]
-    PA, wA = P[sets], np.where(real, w[sets], 0.0)
+    PA, wA = P[sets], w[sets]
     M = np.zeros((count, K + 1, K + 1))
-    L = -2.0 * (wA[:, :, None] * PA) @ PA.transpose(0, 2, 1)
-    M[:, :K, :K] = np.where(real[:, :, None] & real[:, None, :], L, np.eye(K))
-    M[:, :K, K], M[:, K, :K] = np.where(real, -1.0, 0.0), real
+    M[:, :K, :K] = -2.0 * (wA[:, :, None] * PA) @ PA.transpose(0, 2, 1)
+    M[:, :K, K], M[:, K, :K] = -1.0, 1.0
     rhs = np.zeros((count, K + 1, 2))
     rhs[:, :K, 0], rhs[:, K, 0], rhs[:, :K, 1] = -(wA * c[sets]), 1.0, -wA
     left, sv, right = np.linalg.svd(M)
-    keep = sv > np.finfo(float).eps * (size + 1)[:, None] * sv[:, :1]
+    keep = sv > np.finfo(float).eps * (K + 1) * sv[:, :1]
     z = np.einsum("sji,sjc->sic", left, rhs) / np.where(keep, sv, np.inf)[:, :, None]
-    theta = np.where(real[:, :, None], np.einsum("sji,sjc->sic", right, z)[:, :K], 0.0)
+    theta = np.einsum("sji,sjc->sic", right, z)[:, :K]
     x0, x1 = np.einsum("skn,skc->csn", PA, theta)
     qa = np.einsum("sn,sn->s", x1, x1)
     qb = 2.0 * np.einsum("sn,sn->s", x0, x1) - 1.0
@@ -176,40 +174,39 @@ def _face_points(P, w, c, shift, sets, size):
 
 
 def _candidate_blocks(inst, sets, size):
-    """The candidate points block by block, each with its count of (face, set)
-    systems: per set the two sphere points, then (if m > n) the interior roots,
-    on the ball; the corners, then the interior roots of faces with |F| < m."""
+    """The candidate points block by block, each with its count of systems
+    solved: on the ball the two sphere points of every set, on the box the
+    corners; then the interior roots of each face with |F| < m, from its sets
+    of exactly |F| + 1 anchors.  The ball is the one face F = all, J = ()."""
     P, w, n = inst.points, inst.weights, inst.dim
     p_sq = np.einsum("ij,ij->i", P, P)
-    if inst.geometry is Geometry.BALL:
+    ball = inst.geometry is Geometry.BALL
+    if ball:
         a, B = w * (1.0 + p_sq), 2.0 * w[:, None] * P
         for s in range(0, len(sets), _BLOCK):
-            block, sizes = sets[s : s + _BLOCK], size[s : s + _BLOCK]
-            c, step, on_sphere = _sphere_points(a, B, block)
-            X, valid = np.stack([c + step, c - step], axis=1), np.stack([on_sphere] * 2, axis=1)
-            if inst.m > n:  # else no set has the n + 1 anchors an interior maximum needs
-                inner, ok = _face_points(P, w, p_sq, 0.0, block, sizes)
-                X, valid = np.concatenate([X, inner], axis=1), np.column_stack([valid, ok])
+            c, step, on_sphere = _sphere_points(a, B, sets[s : s + _BLOCK])
+            X = np.stack([c + step, c - step], axis=1)[on_sphere]
             # as row-vector products, which round as np.linalg.norm of one vector
-            nrm = np.sqrt((X[:, :, None, :] @ X[:, :, :, None])[:, :, 0, 0])
-            valid[:, 2:] &= nrm[:, 2:] <= 1.0 + 1e-9
-            nrm[:, 2:] = np.maximum(1.0, nrm[:, 2:])  # roots into the ball, ends onto the sphere
-            X /= np.where(valid, nrm, 1.0)[:, :, None]
-            yield X[valid], len(block)
-        return
-    yield np.array(list(product((-1.0, 1.0), repeat=n))), 0
-    for k in range(max(0, n - inst.m + 1), n):  # faces with |F| = n - k < m
-        rows = int(np.searchsorted(size, n - k + 1, side="right"))  # sets of <= |F| + 1
+            X /= np.sqrt((X[:, :, None, :] @ X[:, :, :, None])[:, :, 0, 0])[:, :, None]
+            yield X.reshape(-1, n), len(c)
+    else:
+        yield np.array(list(product((-1.0, 1.0), repeat=n))), 0
+    for k in range(max(0, n - inst.m + 1), 1 if ball else n):  # |J| = k, |F| = n - k < m
+        lo, hi = np.searchsorted(size, [n - k + 1, n - k + 2])  # sets of exactly |F| + 1
         for J, sigma in product(combinations(range(n), k), product((-1.0, 1.0), repeat=k)):
             J, F = list(J), [j for j in range(n) if j not in J]
             c = p_sq - 2.0 * (P[:, J] @ np.array(sigma))
-            for s in range(0, rows, _BLOCK):
-                block = slice(s, min(s + _BLOCK, rows))
-                inner, ok = _face_points(P[:, F], w, c, float(k), sets[block, : len(F) + 1],
-                                         size[block])
-                ok &= np.abs(inner).max(axis=2) <= 1.0 + 1e-9
-                x = np.empty(inner.shape[:2] + (n,))
-                x[:, :, F], x[:, :, J] = np.clip(inner, -1.0, 1.0), sigma
+            for s in range(lo, hi, _BLOCK):
+                inner, ok = _face_points(P[:, F], w, c, float(k),
+                                         sets[s : min(s + _BLOCK, hi), : n - k + 1])
+                if ball:  # roots into the ball
+                    nrm = np.sqrt((inner[:, :, None, :] @ inner[:, :, :, None])[:, :, 0, 0])
+                    ok &= nrm <= 1.0 + 1e-9
+                    x = inner / np.maximum(1.0, nrm)[:, :, None]
+                else:
+                    ok &= np.abs(inner).max(axis=2) <= 1.0 + 1e-9
+                    x = np.empty(inner.shape[:2] + (n,))
+                    x[:, :, F], x[:, :, J] = np.clip(inner, -1.0, 1.0), sigma
                 yield x[ok], len(inner)
 
 
@@ -220,12 +217,13 @@ def solve_global(
 ) -> OracleResult:
     """Best stationary point over the active sets the lifted hull keeps.
 
-    Interior systems run only on faces with more anchors than free
-    coordinates, the only faces that can hold an interior maximum (none on a
-    ball with m <= n).  `budget` and `rng` are accepted and unused; a
+    Interior systems run only for sets of exactly |F| + 1 anchors, the only
+    sets that can hold a maximum inside a face with free coordinates F (none
+    on a ball with m <= n).  `budget` and `rng` are accepted and unused; a
     negative budget still raises.  An instance with more than 10^6 (face, set)
-    systems before pruning raises ValueError.  Among candidates of equal
-    value the first in enumeration order wins.
+    systems before pruning raises ValueError.  method_trace["active_sets"]
+    counts the systems solved, sphere and interior alike.  Among candidates
+    of equal value the first in enumeration order wins.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -243,12 +241,10 @@ def solve_global(
             i = int(np.argmax(vals))
             if vals[i] > best_v:
                 best_x, best_v = points[i].copy(), vals[i]
-    # the search stages' keys stay, at zero, for readers of the trace format
-    trace = {"samples": 0, "best_sampled": -math.inf, "stationary_candidates": found,
-             "active_sets": solved, "candidates_refined": 0, "refine_steps": 0,
-             "polish_steps": 0, "seconds_seeds": 0.0,
-             "seconds_stationary": time.perf_counter() - t0, "seconds_sampling": 0.0,
-             "seconds_ascent": 0.0, "seconds_polish": 0.0}
+    # the deleted search's four counts stay, at zero: perfbench/harness.py reads them
+    trace = {"samples": 0, "stationary_candidates": found, "active_sets": solved,
+             "candidates_refined": 0, "refine_steps": 0, "polish_steps": 0,
+             "seconds_stationary": time.perf_counter() - t0}
     note = (
         f"enumerated: best of {found} stationary points of {solved} active "
         "sets; pair with a relaxation upper bound for soundness"

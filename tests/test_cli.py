@@ -50,19 +50,18 @@ def test_tail_check_reports_clean_grid(capsys):
 
 
 def test_solve_oracle_json(ball_path, capsys):
-    assert main(["solve", ball_path, "--budget", "2000", "--seed", "1"]) == 0
+    assert main(["solve", ball_path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["method"] == "oracle"
     assert len(doc["x"]) == 4
     assert doc["value"] > 0
-    # the oracle enumerates and samples nothing, so best_sampled is null
+    # the oracle enumerates and samples nothing
     trace = doc["method_trace"]
     assert set(trace) == {
-        "samples", "best_sampled", "stationary_candidates", "active_sets",
-        "candidates_refined", "refine_steps", "polish_steps",
-        *(f"seconds_{s}" for s in ("seeds", "stationary", "sampling", "ascent", "polish")),
+        "samples", "stationary_candidates", "active_sets", "candidates_refined",
+        "refine_steps", "polish_steps", "seconds_stationary",
     }
-    assert trace["best_sampled"] is None and trace["samples"] == 0
+    assert trace["samples"] == 0
     assert trace["active_sets"] > 0
 
 
@@ -150,7 +149,7 @@ def test_bench_csv(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     argv = [
         "bench", "--n", "3", "--m", "6..8", "--runs", "2", "--rho", "0.9",
-        "--seed", "1", "--oracle-budget", "2000", "--out", str(out_file),
+        "--seed", "1", "--out", str(out_file),
     ]
     assert main(argv) == 0
     capsys.readouterr()
@@ -170,7 +169,7 @@ def test_bench_csv(tmp_path, capsys):
 
 def test_bench_stdout_deterministic(capsys):
     argv = ["bench", "--n", "2", "--m", "6,7", "--runs", "2", "--rho", "0.9",
-            "--seed", "3", "--oracle-budget", "1000"]
+            "--seed", "3"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -179,7 +178,7 @@ def test_bench_stdout_deterministic(capsys):
 
 def test_bench_markdown(capsys):
     argv = ["bench", "--n", "2", "--m", "6", "--runs", "1", "--rho", "0.9",
-            "--seed", "0", "--oracle-budget", "500", "--format", "md"]
+            "--seed", "0", "--format", "md"]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.lstrip().startswith("|")
