@@ -18,7 +18,11 @@ a draw is accepted with probability at least 1 - rho.
 
 Every sampler consumes an explicit numpy Generator in fixed-size batches, so
 an equally seeded generator reproduces the draws exactly, and a second call
-with the same generator continues where an exhausted budget stopped.
+with the same generator continues where an exhausted budget stopped.  Each
+batch is drawn whole but tested slice by slice, its first 8 rows and then
+the rest only if none of those passes, and only the rows tested are turned
+into candidates: normalized to the unit sphere by the normalizer that
+tail.sample_sphere uses too, or converted from bits to signs +-1.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .relax import (
     solve_cr_ball,
     solve_cr_box,
 )
-from .tail import sample_sphere, tail_s_inverse
+from .tail import _unit_rows, tail_s_inverse
 
 __all__ = [
     "ApproxResult",
@@ -49,6 +53,8 @@ __all__ = [
 ]
 
 _BATCH = 128
+# rows of each batch tested before the rest: most calls accept among them
+_FIRST_ROWS = 8
 _DEFAULT_BUDGET = 1_000_000
 
 
@@ -92,12 +98,17 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-def _rejection(draw, directions, alpha, budget, stretch=1.0):
-    """First row z of the batches draw(k) with stretch * (z . d_i) < alpha * ||d_i||
+def _rejection(draw, rows, directions, alpha, budget, stretch=1.0):
+    """First candidate z of the batches with stretch * (z . d_i) < alpha * ||d_i||
     for every nonzero row d_i of `directions` -> (z, raw draws, accepted index).
 
-    Zero rows are exempt: they could never satisfy the strict inequality.
-    The accepted index is 1-based; raw draws counts whole batches.
+    Each batch is drawn whole, draw(k), and tested slice by slice: rows(part)
+    turns a slice of it into candidates, rows [0, _FIRST_ROWS) first and the
+    rest only if none of those passes.  A batch of at most _FIRST_ROWS + 1 is
+    one slice, so no slice of a longer batch has a single row: a one-row
+    product rounds differently from the batch's.  Zero rows are exempt: they
+    could never satisfy the strict inequality.  The accepted index is 1-based;
+    raw draws counts whole batches.
     """
     norms = np.linalg.norm(directions, axis=1)
     active = norms > 0.0
@@ -107,13 +118,16 @@ def _rejection(draw, directions, alpha, budget, stretch=1.0):
     while seen < budget:
         take = min(_BATCH, budget - seen)
         batch = draw(take)
-        proj = batch @ D
-        if stretch != 1.0:
-            proj *= stretch
-        hits = np.flatnonzero(np.all(proj < thresholds, axis=1))
-        if hits.size:
-            k = int(hits[0])
-            return batch[k].copy(), seen + take, seen + k + 1
+        cuts = (0, _FIRST_ROWS, take) if take > _FIRST_ROWS + 1 else (0, take)
+        for lo, hi in zip(cuts, cuts[1:]):
+            z = rows(batch[lo:hi])
+            proj = z @ D
+            if stretch != 1.0:
+                proj *= stretch
+            hits = np.flatnonzero(np.all(proj < thresholds, axis=1))
+            if hits.size:
+                k = int(hits[0])
+                return z[k].copy(), seen + take, seen + lo + k + 1
         seen += take
     raise SampleBudgetExceeded(seen)
 
@@ -123,11 +137,11 @@ def _sign_rejection(inst, rho, rng, budget, directions):
     -> (alpha, accepted sign vector, raw draws, accepted index)."""
     n = inst.dim
     alpha = math.sqrt(2.0 * math.log(inst.m / rho))
-
-    def signs(k):
-        return rng.integers(0, 2, size=(k, n)).astype(float) * 2.0 - 1.0
-
-    return (alpha, *_rejection(signs, directions, alpha, budget))
+    return (alpha, *_rejection(
+        lambda k: rng.integers(0, 2, size=(k, n)),
+        lambda bits: bits.astype(float) * 2.0 - 1.0,
+        directions, alpha, budget,
+    ))
 
 
 def _result(inst, x, raw, at, alpha, bound_r, refined_bound=None):
@@ -167,7 +181,8 @@ def approx_ball(
     alpha = tail_s_inverse(n, ratio) if ratio < 0.5 else 0.0
     root_n = math.sqrt(n)
     x, raw, at = _rejection(
-        lambda k: sample_sphere(n, rng, k), inst.points, alpha, budget, stretch=root_n
+        lambda k: rng.standard_normal((k, n)), _unit_rows, inst.points, alpha, budget,
+        stretch=root_n,
     )
     return _result(
         inst, x, raw, at, alpha, 0.5 * (1.0 - alpha / root_n), bound_refined(inst, rho)

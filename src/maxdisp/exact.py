@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import svd
 from scipy.optimize import linprog
 
 from .instance import DispersionInstance, Geometry, _sphere_step, evaluate
@@ -69,9 +69,13 @@ class ExactResult:
 def _candidates(points):
     """Sign-direction candidates, cheapest first, as the module docstring says:
     a null(P[:-1]) vector turned away from the last anchor, then the LP's."""
-    basis = null_space(points[:-1])
-    if basis.shape[1]:
-        d = basis[:, 0]
+    # null_space's own SVD and rank rule, without its finiteness check: the
+    # instance already checked its anchors
+    head = points[:-1]
+    _, s, vt = svd(head, check_finite=False)
+    rank = int(np.sum(s > np.finfo(float).eps * max(head.shape) * np.amax(s, initial=0.0)))
+    if rank < len(vt):
+        d = vt[rank]
         yield -d if float(points[-1] @ d) > 0.0 else d
     res = linprog(points.sum(axis=0), A_ub=points, b_ub=np.zeros(len(points)),
                   bounds=[(-1.0, 1.0)] * points.shape[1], method="highs")

@@ -222,8 +222,9 @@ def solve_global(
     on a ball with m <= n).  `budget` and `rng` are accepted and unused; a
     negative budget still raises.  An instance with more than 10^6 (face, set)
     systems before pruning raises ValueError.  method_trace["active_sets"]
-    counts the systems solved, sphere and interior alike.  Among candidates
-    of equal value the first in enumeration order wins.
+    counts the systems solved, sphere and interior alike; the
+    certified_radius note counts the sets kept.  Among candidates of equal
+    value the first in enumeration order wins.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -233,7 +234,8 @@ def solve_global(
                          f"above its limit of {_MAX_SYSTEMS:,}")
     t0 = time.perf_counter()
     best_x, best_v, found, solved = None, -math.inf, 0, 0
-    for points, count in _candidate_blocks(inst, *_active_sets(inst)):
+    idx, size = _active_sets(inst)
+    for points, count in _candidate_blocks(inst, idx, size):
         solved += count
         found += len(points)
         if len(points):
@@ -246,7 +248,7 @@ def solve_global(
              "candidates_refined": 0, "refine_steps": 0, "polish_steps": 0,
              "seconds_stationary": time.perf_counter() - t0}
     note = (
-        f"enumerated: best of {found} stationary points of {solved} active "
+        f"enumerated: best of {found} stationary points of {len(idx)} active "
         "sets; pair with a relaxation upper bound for soundness"
     )
     return OracleResult(

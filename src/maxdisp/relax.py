@@ -304,8 +304,13 @@ def _solve_relaxation(inst: DispersionInstance, geometry: Geometry, tol, max_ite
         x = -_unit(inst.points[0]) if ball else -np.sign(inst.points[0])
         return RelaxationResult(x, float((a - B @ x)[0]), 0.0, 0, True)
 
-    # repeated anchors would crowd the polish's active sets: keep one of each
-    keep = np.sort(np.unique(np.column_stack([a, B]), axis=0, return_index=True)[1])
+    # repeated anchors would crowd the polish's active sets: keep the first of
+    # each distinct [a, B] row, compared as floats like np.unique(axis=0)
+    rows = np.column_stack([a, B])
+    order = np.lexsort(rows.T[::-1])
+    first = np.ones(m, dtype=bool)
+    first[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+    keep = np.sort(order[first])
     cert = _Certificate(a[keep], B[keep], ball)
     tol = 1e-7 * max(1.0, cert.upper) if tol is None else tol
     # close to rounding level, not just to tol, so x_star is reproducible

@@ -95,7 +95,12 @@ def sample_sphere(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """
     if int(n) != n or int(n) < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
-    raw = rng.standard_normal((count, int(n)))
+    return _unit_rows(rng.standard_normal((count, int(n))))
+
+
+def _unit_rows(raw: np.ndarray) -> np.ndarray:
+    """The rows of raw scaled to unit norm; a zero row stays zero.  The sphere
+    sampler calls it on the slices of a standard normal batch it tests."""
     nrm = np.linalg.norm(raw, axis=1)
     nrm[nrm == 0.0] = 1.0
     return raw / nrm[:, None]

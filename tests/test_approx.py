@@ -190,6 +190,76 @@ def test_acceptance_bookkeeping():
     assert res.raw_samples == again.raw_samples
 
 
+def _full_batch_rejection(draw, rows, directions, alpha, budget, stretch=1.0):
+    """The rejection loop without slices: every row of a batch becomes a
+    candidate and the whole batch is tested at once."""
+    norms = np.linalg.norm(directions, axis=1)
+    active = norms > 0.0
+    D = directions[active].T
+    thresholds = alpha * norms[active]
+    seen = 0
+    while seen < budget:
+        take = min(maxdisp.approx._BATCH, budget - seen)
+        batch = rows(draw(take))
+        proj = batch @ D
+        if stretch != 1.0:
+            proj *= stretch
+        hits = np.flatnonzero(np.all(proj < thresholds, axis=1))
+        if hits.size:
+            k = int(hits[0])
+            return batch[k].copy(), seen + take, seen + k + 1
+        seen += take
+    raise SampleBudgetExceeded(seen)
+
+
+def _sampler_outcomes():
+    """Every sampler, rho in {0.9999, 0.5, 1e-9}, n in {2, 5, 20}, m up to 120,
+    anchors with zero rows, at budgets that leave partial batches and one-row
+    tails; each budget runs six calls on one generator, so the calls after
+    an exhausted budget resume its stream."""
+    out = []
+    for k, (n, m, geom) in enumerate(product(
+            (2, 5, 20), (1, 9, 40, 120), (Geometry.BALL, Geometry.BOX))):
+        ball = geom is Geometry.BALL
+        if ball and n == 2:
+            # anchors spread over 90 % of the circle: at rho 0.9999 about one
+            # draw in ten passes, so acceptances land past the first 8 rows
+            angle = 1.8 * np.pi * np.arange(m) / m
+            points = np.column_stack([np.cos(angle), np.sin(angle)])
+            points[0] = 0.0
+        else:
+            points = np.random.default_rng(k).uniform(-1.0, 1.0, size=(m, n))
+            points[::3] = 0.0  # every anchor zero when m = 1
+        inst = DispersionInstance(n, points, np.ones(m), geom)
+        rel = (solve_cr_ball if ball else solve_cr_box)(inst)
+        lift = (lift_ball if ball else lift_box)(rel, inst)
+        own = approx_ball if ball else approx_box_simplified
+        samplers = (own, lambda i, r, g, b: approx_general_fixed(i, r, g, b, lift=lift))
+        for (s, sampler), rho, budget in product(
+                enumerate(samplers), (0.9999, 0.5, 1e-9), (1, 2, 8, 9, 10, 130, 137)):
+            rng = np.random.default_rng([k, s, budget])
+            for _ in range(6):
+                try:
+                    res = sampler(inst, rho, rng, budget)
+                except SampleBudgetExceeded as exc:
+                    out.append(("exceeded", budget, exc.draws))
+                else:
+                    out.append((res.x_tilde.tobytes(), budget, res.accepted_at,
+                                res.raw_samples, res.f_value))
+    return out
+
+
+def test_lazy_rejection_matches_full_batch_reference(monkeypatch):
+    lazy = _sampler_outcomes()
+    monkeypatch.setattr(maxdisp.approx, "_rejection", _full_batch_rejection)
+    reference = _sampler_outcomes()
+    assert lazy == reference
+    # the sweep reaches the second slice, at its first row too, and exhausts budgets
+    accepted = [row[2] for row in reference if row[0] != "exceeded" and row[1] >= 10]
+    assert 9 in accepted and any(at > 9 for at in accepted)
+    assert any(row[0] == "exceeded" for row in reference)
+
+
 def test_mean_waiting_time_reasonable():
     # acceptance probability is at least 1 - rho, so at rho = 0.5 the mean
     # accepted_at over many runs stays close to the geometric mean of 2
