@@ -16,6 +16,14 @@ a draw is accepted with probability at least 1 - rho.
 * approx_box_simplified is that sign sampler at unit scale: on the box the
   lift's diagonal is constant and cancels, so no relaxation is solved.
 
+Each sampler's test is prepared once and kept on the instance.  The
+anchors' norms and nonzero rows (transposed) are built once per instance;
+the sphere sampler, the box sampler and bound_refined read them.  For the
+general sampler, the lift's scale, the anchor images' rows and norms,
+sqrt(lift[n, n]) and sqrt(gamma1(lift)) are kept for the last lift seen and
+prepared again whenever a lift differs from it in shape or content.  A call
+then only draws, tests and evaluates.
+
 Every sampler consumes an explicit numpy Generator in fixed-size batches, so
 an equally seeded generator reproduces the draws exactly, and a second call
 with the same generator continues where an exhausted budget stopped.  Each
@@ -98,22 +106,54 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-def _rejection(draw, rows, directions, alpha, budget, stretch=1.0):
-    """First candidate z of the batches with stretch * (z . d_i) < alpha * ||d_i||
-    for every nonzero row d_i of `directions` -> (z, raw draws, accepted index).
-
-    Each batch is drawn whole, draw(k), and tested slice by slice: rows(part)
-    turns a slice of it into candidates, rows [0, _FIRST_ROWS) first and the
-    rest only if none of those passes.  A batch of at most _FIRST_ROWS + 1 is
-    one slice, so no slice of a longer batch has a single row: a one-row
-    product rounds differently from the batch's.  Zero rows are exempt: they
-    could never satisfy the strict inequality.  The accepted index is 1-based;
-    raw draws counts whole batches.
-    """
+def _prepare(directions):
+    """(norms of every row, D, norms of D's columns) for the rejection test,
+    where D holds the nonzero rows of `directions`, transposed: a zero row
+    could never satisfy the strict inequality, so it is exempt."""
     norms = np.linalg.norm(directions, axis=1)
     active = norms > 0.0
-    D = directions[active].T
-    thresholds = alpha * norms[active]
+    return norms, directions[active].T, norms[active]
+
+
+def _anchor_test(inst):
+    """_test of the anchors, built on the first call and kept in the instance's
+    __dict__, as functools.cached_property does: its arrays are read-only."""
+    test = inst.__dict__.get("_anchor_test")
+    if test is None:
+        test = inst.__dict__["_anchor_test"] = _prepare(inst.points)
+    return test
+
+
+def _lift_test(inst, lift):
+    """(scale, D, norms, sqrt(lift[n, n]), sqrt(gamma1(lift))) for the sign
+    sampler driven by `lift`, where D and norms test the anchor images
+    p_i * scale.  The instance keeps one entry, for the last lift prepared: a
+    lift that differs from it in dtype, shape or content, including one
+    overwritten in place, is prepared and validated afresh."""
+    key = (lift.dtype.str, lift.shape, lift.tobytes())
+    entry = inst.__dict__.get("_lift_test")
+    if entry is None or entry[0] != key:
+        n = inst.dim
+        root_g1 = math.sqrt(gamma1(lift))
+        scale = np.sqrt(np.maximum(np.diag(lift)[:n], 0.0))
+        _, D, norms = _prepare(inst.points * scale[None, :])
+        entry = (key, (scale, D, norms, math.sqrt(float(lift[n, n])), root_g1))
+        inst.__dict__["_lift_test"] = entry
+    return entry[1]
+
+
+def _rejection(draw, rows, D, norms, alpha, budget, stretch=1.0):
+    """First candidate z of the batches with stretch * (z . d_j) < alpha * norms_j
+    for every column d_j of D -> (z, raw draws, accepted index).
+
+    D and norms come from _test.  Each batch is drawn whole, draw(k), and
+    tested slice by slice: rows(part) turns a slice of it into candidates,
+    rows [0, _FIRST_ROWS) first and the rest only if none of those passes.  A
+    batch of at most _FIRST_ROWS + 1 is one slice, so no slice of a longer
+    batch has a single row: a one-row product rounds differently from the
+    batch's.  The accepted index is 1-based; raw draws counts whole batches.
+    """
+    thresholds = alpha * norms
     seen = 0
     while seen < budget:
         take = min(_BATCH, budget - seen)
@@ -124,23 +164,23 @@ def _rejection(draw, rows, directions, alpha, budget, stretch=1.0):
             proj = z @ D
             if stretch != 1.0:
                 proj *= stretch
-            hits = np.flatnonzero(np.all(proj < thresholds, axis=1))
-            if hits.size:
-                k = int(hits[0])
+            ok = (proj < thresholds).all(axis=1)
+            k = int(ok.argmax())
+            if ok[k]:
                 return z[k].copy(), seen + take, seen + lo + k + 1
         seen += take
     raise SampleBudgetExceeded(seen)
 
 
-def _sign_rejection(inst, rho, rng, budget, directions):
-    """Sign-vector draws tested against `directions` with alpha = sqrt(2 ln(m/rho))
+def _sign_rejection(inst, rho, rng, budget, D, norms):
+    """Sign-vector draws tested against D and norms with alpha = sqrt(2 ln(m/rho))
     -> (alpha, accepted sign vector, raw draws, accepted index)."""
     n = inst.dim
     alpha = math.sqrt(2.0 * math.log(inst.m / rho))
     return (alpha, *_rejection(
         lambda k: rng.integers(0, 2, size=(k, n)),
         lambda bits: bits.astype(float) * 2.0 - 1.0,
-        directions, alpha, budget,
+        D, norms, alpha, budget,
     ))
 
 
@@ -180,8 +220,9 @@ def approx_ball(
     ratio = rho / inst.m
     alpha = tail_s_inverse(n, ratio) if ratio < 0.5 else 0.0
     root_n = math.sqrt(n)
+    _, D, norms = _anchor_test(inst)
     x, raw, at = _rejection(
-        lambda k: rng.standard_normal((k, n)), _unit_rows, inst.points, alpha, budget,
+        lambda k: rng.standard_normal((k, n)), _unit_rows, D, norms, alpha, budget,
         stretch=root_n,
     )
     return _result(
@@ -205,19 +246,14 @@ def approx_general_fixed(
     which can be negative, in which case the guarantee is vacuous.
     """
     rho = _check_rho(rho)
-    n = inst.dim
     ball = inst.geometry is Geometry.BALL
     if lift is None:
         if relaxation is None:
             relaxation = solve_cr_ball(inst) if ball else solve_cr_box(inst)
         lift = lift_ball(relaxation, inst) if ball else lift_box(relaxation, inst)
-    scale = np.sqrt(np.maximum(np.diag(lift)[:n], 0.0))
-    # the sign draws are tested against the weighted anchor images
-    alpha, xi, raw, at = _sign_rejection(
-        inst, rho, rng, budget, inst.points * scale[None, :]
-    )
-    x = scale * xi / math.sqrt(float(lift[n, n]))
-    return _result(inst, x, raw, at, alpha, 0.5 * (1.0 - alpha * math.sqrt(gamma1(lift))))
+    scale, D, norms, root_t, root_g1 = _lift_test(inst, lift)
+    alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, D, norms)
+    return _result(inst, scale * xi / root_t, raw, at, alpha, 0.5 * (1.0 - alpha * root_g1))
 
 
 def approx_box_simplified(
@@ -235,7 +271,7 @@ def approx_box_simplified(
     if inst.geometry is not Geometry.BOX:
         raise ValueError("approx_box_simplified requires a box-geometry instance")
     rho = _check_rho(rho)
-    alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, inst.points)
+    alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, *_anchor_test(inst)[1:])
     return _result(inst, xi, raw, at, alpha, 0.5 * (1.0 - alpha / math.sqrt(inst.dim)))
 
 
@@ -252,7 +288,7 @@ def bound_refined(inst: DispersionInstance, rho: float) -> float:
     """
     rho = _check_rho(rho)
     n, m = inst.dim, inst.m
-    d = float(np.linalg.norm(inst.points, axis=1).min())
+    d = float(_anchor_test(inst)[0].min())
     nu = d + 1.0 / d if d > 1.0 else 2.0
     spread = math.sqrt((20.0 / (9.0 * n)) * math.log(m / rho))
     return nu / (2.0 + nu) - (2.0 / (2.0 + nu)) * spread

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,12 @@ def _cmd_approx(args) -> int:
     inst = read_instance(args.instance)
     run = _ALGOS[args.algo]
     print("run,value,accepted_at,raw_samples,bound_factor")
+    if run is approx_general_fixed:
+        # one relaxation and lift serve every run
+        ball = inst.geometry is Geometry.BALL
+        rr = solve_cr_ball(inst) if ball else solve_cr_box(inst)
+        run = partial(run, lift=lift_ball(rr, inst) if ball else lift_box(rr, inst),
+                      relaxation=rr)
     for k in range(args.runs):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, k]))
         res = run(inst, args.rho, rng)

@@ -86,6 +86,16 @@ def _system_count(inst):
     return sum(math.comb(n, f) * 2 ** (n - f) * per_face(f) for f in range(1, n + 1))
 
 
+def _distinct_rows(rows):
+    """The distinct rows of an integer array in lexicographic order, as
+    np.unique(rows, axis=0) returns them: one lexsort, then each row is
+    compared with the one before it."""
+    order = np.lexsort(rows.T[::-1])
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+    return rows[order[first]]
+
+
 def _active_sets(inst):
     """The active sets to solve, as _padded_sets returns them: the subsets of at
     most K = min(m, n + 1) anchors of the lower facets of the lifted points q_i.
@@ -126,7 +136,7 @@ def _active_sets(inst):
                  for c, rows in by_count.items() if c >= k]
         if not parts:
             break
-        sets = np.unique(np.concatenate(parts), axis=0)  # sorted: combinations order
+        sets = _distinct_rows(np.concatenate(parts))  # sorted: combinations order
         idx.append(np.column_stack([sets, np.repeat(sets[:, :1], K - k, axis=1)]))
         size.append(np.full(len(sets), k, dtype=np.intp))
     return np.concatenate(idx), np.concatenate(size)

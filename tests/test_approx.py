@@ -190,13 +190,10 @@ def test_acceptance_bookkeeping():
     assert res.raw_samples == again.raw_samples
 
 
-def _full_batch_rejection(draw, rows, directions, alpha, budget, stretch=1.0):
+def _full_batch_rejection(draw, rows, D, norms, alpha, budget, stretch=1.0):
     """The rejection loop without slices: every row of a batch becomes a
     candidate and the whole batch is tested at once."""
-    norms = np.linalg.norm(directions, axis=1)
-    active = norms > 0.0
-    D = directions[active].T
-    thresholds = alpha * norms[active]
+    thresholds = alpha * norms
     seen = 0
     while seen < budget:
         take = min(maxdisp.approx._BATCH, budget - seen)
@@ -258,6 +255,52 @@ def test_lazy_rejection_matches_full_batch_reference(monkeypatch):
     accepted = [row[2] for row in reference if row[0] != "exceeded" and row[1] >= 10]
     assert 9 in accepted and any(at > 9 for at in accepted)
     assert any(row[0] == "exceeded" for row in reference)
+
+
+def _outcome(res):
+    return (res.x_tilde.tobytes(), res.f_value, res.raw_samples, res.accepted_at,
+            res.alpha_used, res.bound_r, res.refined_bound)
+
+
+@pytest.mark.parametrize("geom", [Geometry.BALL, Geometry.BOX])
+def test_prepared_tests_match_fresh_instances(geom):
+    # the tests a sampler keeps on an instance never change a result: every
+    # call equals one on a fresh equal instance, whatever lift came before it
+    ball = geom is Geometry.BALL
+    points = np.random.default_rng(21).uniform(-1.0, 1.0, size=(30, 5))
+    points[3] = 0.0
+    inst = DispersionInstance(5, points, np.ones(30), geom)
+    lift = (lift_ball if ball else lift_box)((solve_cr_ball if ball else solve_cr_box)(inst), inst)
+    other = lift.copy()
+    other[np.diag_indices(5)] *= np.linspace(0.25, 4.0, 5)
+
+    def fresh():
+        return DispersionInstance(5, points, np.ones(30), geom)
+
+    def general(target, L, rng):
+        return _outcome(approx_general_fixed(target, 0.5, rng, lift=L))
+
+    own = approx_ball if ball else approx_box_simplified
+    calls = [lambda t, g: _outcome(own(t, 0.5, g))] + [
+        lambda t, g, L=L: general(t, L, g) for L in (lift, other, lift, other, other)]
+    for seed in range(3):
+        kept, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for call in calls * 2:
+            assert call(inst, kept) == call(fresh(), new), seed
+    # the lifts lead to different results, so a stale test would show
+    assert general(inst, lift, np.random.default_rng(7)) != general(
+        inst, other, np.random.default_rng(7))
+    # a writable lift overwritten in place between calls
+    buf = lift.copy()
+    first = general(inst, buf, np.random.default_rng(7))
+    buf[...] = other
+    assert general(inst, buf, np.random.default_rng(7)) == general(
+        fresh(), other, np.random.default_rng(7))
+    buf[...] = lift
+    assert general(inst, buf, np.random.default_rng(7)) == first
+    # the same bytes in a shape that is no lift
+    with pytest.raises(ValueError):
+        approx_general_fixed(inst, 0.5, np.random.default_rng(7), lift=lift.reshape(1, -1))
 
 
 def test_mean_waiting_time_reasonable():

@@ -331,6 +331,24 @@ def _family_instance(family, n, m, seed, geometry=Geometry.BALL):
     return DispersionInstance(dim=n, points=pts, weights=w, geometry=geometry)
 
 
+def test_active_sets_match_unique_reference(monkeypatch):
+    # the lexsort dedup keeps the rows np.unique(axis=0) keeps, in its order.
+    # The one-norm families keep every set without a dedup, and so do the two
+    # weighted balls with m = n + 3, whose lifted anchors form a simplex; the
+    # hull prunes all the others
+    cases = [_family_instance(family, n, m, 7 * n + m)
+             for family in ("duplicate", "antiparallel", "integer", "weighted")
+             for n, m in ((2, 5), (3, 12), (4, 20), (5, 30), (6, 9), (6, 14))]
+    lexsorted = [_active_sets(inst) for inst in cases]
+    monkeypatch.setattr(oracle, "_distinct_rows", lambda rows: np.unique(rows, axis=0))
+    pruned = 0
+    for inst, (idx, size) in zip(cases, lexsorted):
+        ref_idx, ref_size = _active_sets(inst)
+        assert np.array_equal(idx, ref_idx) and np.array_equal(size, ref_size)
+        pruned += len(size) < len(_padded_sets(inst.m, min(inst.m, inst.dim + 1))[1])
+    assert pruned == len(cases) - 2
+
+
 def _feasible_batch(inst, count, rng):
     """count feasible points drawn without the oracle: half on the sphere and
     half uniform in the ball, or half corners and half uniform in the box."""
