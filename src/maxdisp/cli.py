@@ -31,7 +31,7 @@ from .approx import (
 )
 from .bench import run_benchmark, to_csv, to_markdown
 from .exact import NotApplicableError, solve_exact
-from .hardness import bqp_enumerate, build_hardness, partition_min_imbalance, qcqp_value
+from .hardness import _bqp_q, bqp_enumerate, build_hardness, partition_min_imbalance, qcqp_value
 from .instance import Geometry, InstanceError, read_instance, write_instance
 from .oracle import solve_global
 from .relax import NonPositiveValueError, gamma1, lift_ball, lift_box, solve_cr_ball, solve_cr_box
@@ -163,8 +163,7 @@ def _cmd_hardness_gen(args) -> int:
         "trace_lambda": float(np.sum(art.lambda_diag)),
     }
     if n <= 22:
-        lam = np.diag(art.lambda_diag)
-        Q = (lam - np.outer(a, a).astype(float)) / 4.0
+        Q = _bqp_q(art)
         bqp = bqp_enumerate(Q)
         report["bqp_value"] = bqp
         report["qcqp_value"] = qcqp_value(Q)

@@ -263,22 +263,23 @@ class ReductionReport:
     partition_feasible: bool
 
 
-def verify_reduction(
-    artifact: HardnessArtifact,
-    budget: int = 200_000,
-    rng: np.random.Generator | None = None,
-) -> ReductionReport:
+def _bqp_q(artifact: HardnessArtifact) -> np.ndarray:
+    """The reduction's Q = (Lambda - a a^T) / 4."""
+    a = artifact.a.astype(float)
+    return 0.25 * (np.diag(artifact.lambda_diag) - np.outer(a, a))
+
+
+def verify_reduction(artifact: HardnessArtifact) -> ReductionReport:
     """Compare the enumeration oracle on the emitted instance with the closed form.
 
     The predicted value is 2 - 1/sqrt(v(BQP)) with
     Q = (Lambda - a a^T) / 4; when the partition is feasible this equals
     2 - 2/sqrt(trace(Lambda)).
     """
-    a = artifact.a.astype(float)
-    Q = 0.25 * (np.diag(artifact.lambda_diag) - np.outer(a, a))
+    Q = _bqp_q(artifact)
     bqp = bqp_enumerate(Q)
     predicted = qcqp_value(Q)
-    result = solve_global(artifact.instance, budget=budget, rng=rng)
+    result = solve_global(artifact.instance)
     return ReductionReport(
         oracle_value=result.value,
         predicted_value=predicted,

@@ -22,8 +22,10 @@ scores; on the box each face, its J fixed at signs sigma, gives interior
 points in its free coordinates F, and the 2^n corners are candidates too.
 The ball is the one face with F = all coordinates.  Each face solves the
 interior systems of its sets of exactly |F| + 1 anchors, so only faces with
-|F| < m solve any: none on a ball with m <= n.
-Sets are solved in stacked passes of at most _BLOCK sets.  Instances with
+|F| < m solve any: none on a ball with m <= n.  Such a system is the set's
+ties, linear in (x_F, t) at fixed u = ||x||^2; its matrix depends on F and
+the set alone, so one factorization serves all 2^|J| faces that fix J, and a
+stacked pass holds at most _BLOCK (set, sign pattern) systems.  Instances with
 more than _MAX_SYSTEMS (face, set) systems before pruning are refused: the
 protocol's m = 30 (768,211) and the hardness instances up to n = 10
 (784,625) fit under it.
@@ -45,7 +47,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .instance import DispersionInstance, Geometry, evaluate, evaluate_batch
-from .relax import _padded_sets, _sphere_points
+from .relax import _distinct_rows, _padded_sets, _sphere_points
 
 __all__ = ["OracleResult", "solve_global"]
 
@@ -84,16 +86,6 @@ def _system_count(inst):
     if inst.geometry is Geometry.BALL:
         return per_face(n)
     return sum(math.comb(n, f) * 2 ** (n - f) * per_face(f) for f in range(1, n + 1))
-
-
-def _distinct_rows(rows):
-    """The distinct rows of an integer array in lexicographic order, as
-    np.unique(rows, axis=0) returns them: one lexsort, then each row is
-    compared with the one before it."""
-    order = np.lexsort(rows.T[::-1])
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
-    return rows[order[first]]
 
 
 def _active_sets(inst):
@@ -136,58 +128,56 @@ def _active_sets(inst):
                  for c, rows in by_count.items() if c >= k]
         if not parts:
             break
-        sets = _distinct_rows(np.concatenate(parts))  # sorted: combinations order
+        rows = np.concatenate(parts)
+        sets = rows[_distinct_rows(rows)]  # sorted: combinations order
         idx.append(np.column_stack([sets, np.repeat(sets[:, :1], K - k, axis=1)]))
         size.append(np.full(len(sets), k, dtype=np.intp))
     return np.concatenate(idx), np.concatenate(size)
 
 
-def _face_points(P, w, c, shift, sets):
-    """Each set's interior stationary points on one face, in its free coordinates.
+def _face_points(P, w, C, shift, sets):
+    """Each set's interior stationary points on one face, in its free
+    coordinates F, for each row c of C (one per sign pattern sigma).
 
     Every term is w_i (u - 2 p_i.x + c_i) with u = ||x||^2 + shift (c_i =
     ||p_i||^2 - 2 p_iJ.sigma and shift |J| on a box face; c_i = ||p_i||^2 and
-    shift 0 on the ball), so a stationary x is an affine combination of the
-    set's anchors, x = x0 + u x1, and u is a root of ||x0 + u x1||^2 + shift = u.
-    Returns the two root points per set and which roots are real with
-    u >= shift; the caller checks the region.
-
-    Each row of sets holds K distinct anchors; the systems are solved with
-    lstsq's cutoff eps (K + 1) s_0.  Sign conditions on the multipliers are
-    not checked; spurious candidates are harmless because every candidate is
-    scored by a full evaluation.
+    shift 0 on the ball).  At fixed u the K = |F| + 1 ties are the rows
+    [-2 w_i p_i, -1] . (x, t) = -w_i c_i - w_i u, so x = x0 + u x1, and u is a
+    root of ||x0 + u x1||^2 + shift = u.  One SVD per set (cutoff eps K s_0)
+    takes every c and the u column as right-hand sides.  Returns the two root
+    points per (c, set), shape (len(C), len(sets), 2, |F|), and which roots
+    are real with u >= shift; the caller checks the region.  Spurious roots
+    are harmless: every candidate is scored by a full evaluation.
     """
     count, K = sets.shape
-    PA, wA = P[sets], w[sets]
-    M = np.zeros((count, K + 1, K + 1))
-    M[:, :K, :K] = -2.0 * (wA[:, :, None] * PA) @ PA.transpose(0, 2, 1)
-    M[:, :K, K], M[:, K, :K] = -1.0, 1.0
-    rhs = np.zeros((count, K + 1, 2))
-    rhs[:, :K, 0], rhs[:, K, 0], rhs[:, :K, 1] = -(wA * c[sets]), 1.0, -wA
-    left, sv, right = np.linalg.svd(M)
-    keep = sv > np.finfo(float).eps * (K + 1) * sv[:, :1]
+    wA = w[sets][:, :, None]
+    T = np.concatenate([-2.0 * wA * P[sets], np.full((count, K, 1), -1.0)], axis=2)
+    rhs = -wA * np.concatenate([C.T[sets], np.ones((count, K, 1))], axis=2)
+    left, sv, right = np.linalg.svd(T)
+    keep = sv > np.finfo(float).eps * K * sv[:, :1]
     z = np.einsum("sji,sjc->sic", left, rhs) / np.where(keep, sv, np.inf)[:, :, None]
-    theta = np.einsum("sji,sjc->sic", right, z)[:, :K]
-    x0, x1 = np.einsum("skn,skc->csn", PA, theta)
+    x = np.einsum("sji,sjc->sci", right[:, :, : K - 1], z)  # the x of each (x, t)
+    x0, x1 = x[:, :-1].transpose(1, 0, 2), x[:, -1]
     qa = np.einsum("sn,sn->s", x1, x1)
-    qb = 2.0 * np.einsum("sn,sn->s", x0, x1) - 1.0
-    qc = np.einsum("sn,sn->s", x0, x0) + shift
+    qb = 2.0 * np.einsum("csn,sn->cs", x0, x1) - 1.0
+    qc = np.einsum("csn,csn->cs", x0, x0) + shift
     disc = qb * qb - 4.0 * qa * qc
     # the root pair without cancellation, larger first; q / qa is infinite
     # when qa = 0, and qc / q is then the root of the linear equation
     q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = np.sort(np.stack([qc / q, q / qa], axis=1), axis=1)[:, ::-1]
-    ok = (disc >= 0.0)[:, None] & np.isfinite(u) & (u >= shift - 1e-12)
+        u = np.sort(np.stack([qc / q, q / qa], axis=-1), axis=-1)[..., ::-1]
+    ok = (disc >= 0.0)[..., None] & np.isfinite(u) & (u >= shift - 1e-12)
     u = np.where(ok, np.maximum(u, shift), shift)
-    return x0[:, None] + u[:, :, None] * x1[:, None], ok
+    return x0[:, :, None] + u[..., None] * x1[:, None], ok
 
 
 def _candidate_blocks(inst, sets, size):
     """The candidate points block by block, each with its count of systems
     solved: on the ball the two sphere points of every set, on the box the
     corners; then the interior roots of each face with |F| < m, from its sets
-    of exactly |F| + 1 anchors.  The ball is the one face F = all, J = ()."""
+    of exactly |F| + 1 anchors, all sign patterns of one J in one call per
+    block of max(1, _BLOCK >> |J|) sets.  The ball is the one face J = ()."""
     P, w, n = inst.points, inst.weights, inst.dim
     p_sq = np.einsum("ij,ij->i", P, P)
     ball = inst.geometry is Geometry.BALL
@@ -202,22 +192,23 @@ def _candidate_blocks(inst, sets, size):
     else:
         yield np.array(list(product((-1.0, 1.0), repeat=n))), 0
     for k in range(max(0, n - inst.m + 1), 1 if ball else n):  # |J| = k, |F| = n - k < m
-        lo, hi = np.searchsorted(size, [n - k + 1, n - k + 2])  # sets of exactly |F| + 1
-        for J, sigma in product(combinations(range(n), k), product((-1.0, 1.0), repeat=k)):
+        kept = sets[size == n - k + 1, : n - k + 1]  # sets of exactly |F| + 1
+        signs = np.array(list(product((-1.0, 1.0), repeat=k)))  # (1, 0) on the ball
+        per = max(1, _BLOCK >> k)
+        for J in combinations(range(n), k):
             J, F = list(J), [j for j in range(n) if j not in J]
-            c = p_sq - 2.0 * (P[:, J] @ np.array(sigma))
-            for s in range(lo, hi, _BLOCK):
-                inner, ok = _face_points(P[:, F], w, c, float(k),
-                                         sets[s : min(s + _BLOCK, hi), : n - k + 1])
+            C = p_sq - 2.0 * signs @ P[:, J].T
+            for s in range(0, len(kept), per):
+                inner, ok = _face_points(P[:, F], w, C, float(k), kept[s : s + per])
                 if ball:  # roots into the ball
-                    nrm = np.sqrt((inner[:, :, None, :] @ inner[:, :, :, None])[:, :, 0, 0])
+                    nrm = np.sqrt((inner[..., None, :] @ inner[..., :, None])[..., 0, 0])
                     ok &= nrm <= 1.0 + 1e-9
-                    x = inner / np.maximum(1.0, nrm)[:, :, None]
+                    x = inner / np.maximum(1.0, nrm)[..., None]
                 else:
-                    ok &= np.abs(inner).max(axis=2) <= 1.0 + 1e-9
-                    x = np.empty(inner.shape[:2] + (n,))
-                    x[:, :, F], x[:, :, J] = np.clip(inner, -1.0, 1.0), sigma
-                yield x[ok], len(inner)
+                    ok &= np.abs(inner).max(axis=-1) <= 1.0 + 1e-9
+                    x = np.empty(inner.shape[:-1] + (n,))
+                    x[..., F], x[..., J] = np.clip(inner, -1.0, 1.0), signs[:, None, None]
+                yield x[ok], ok[..., 0].size
 
 
 def solve_global(

@@ -171,6 +171,16 @@ def _sphere_points(a, B, acts):
     return c, step, (room >= 0.0) & (rank < n)
 
 
+def _distinct_rows(rows):
+    """The index of the first row of each distinct value, in lexicographic
+    order of the values, as np.unique(rows, axis=0, return_index=True)[1]:
+    one stable lexsort, then each row is compared with the one before it."""
+    order = np.lexsort(rows.T[::-1])
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+    return order[first]
+
+
 def _pad(sets, k):
     """Index tuples as the rows of one array, padded to k entries by repeating
     their first index."""
@@ -306,11 +316,7 @@ def _solve_relaxation(inst: DispersionInstance, geometry: Geometry, tol, max_ite
 
     # repeated anchors would crowd the polish's active sets: keep the first of
     # each distinct [a, B] row, compared as floats like np.unique(axis=0)
-    rows = np.column_stack([a, B])
-    order = np.lexsort(rows.T[::-1])
-    first = np.ones(m, dtype=bool)
-    first[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
-    keep = np.sort(order[first])
+    keep = np.sort(_distinct_rows(np.column_stack([a, B])))
     cert = _Certificate(a[keep], B[keep], ball)
     tol = 1e-7 * max(1.0, cert.upper) if tol is None else tol
     # close to rounding level, not just to tol, so x_star is reproducible

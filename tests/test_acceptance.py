@@ -268,13 +268,13 @@ def test_criterion_10_scalarized_equivalence(capsys):
 
 def test_criterion_11_reduction_round_trip(capsys):
     feas = build_hardness((1, 1, 1, 1, 2))
-    rep_f = verify_reduction(feas, budget=50_000, rng=np.random.default_rng(0))
+    rep_f = verify_reduction(feas)
     formula_f = 2.0 - 2.0 / math.sqrt(rep_f.trace_lambda)
     ok = rep_f.partition_feasible
     ok = ok and abs(rep_f.oracle_value - formula_f) <= 1e-3
 
     infeas = build_hardness((1, 1, 1, 3, 5))
-    rep_i = verify_reduction(infeas, budget=50_000, rng=np.random.default_rng(0))
+    rep_i = verify_reduction(infeas)
     formula_i = 2.0 - 2.0 / math.sqrt(rep_i.trace_lambda)
     margin = formula_i - rep_i.predicted_value
     ok = ok and not rep_i.partition_feasible

@@ -3,11 +3,14 @@
 The refactoring rule for this package is "the same results from less code":
 a change that is meant to keep results must leave this CSV byte for byte.
 It covers the oracle's enumeration over every active set (m = 6) and over
-the sets the lifted hull keeps (m = 12 and 13), and both samplers.  A change
+the sets the lifted hull keeps (m = 12 and 13), and both samplers; a digest
+pins the whole protocol (m = 6..30, 10 runs) at the default seed.  A change
 that moves a number on purpose updates GOLDEN here and states in its
 description which cells moved, by how much, and why.  At m = 13 v_oracle
 reaches v_cr, so the relaxation proves it optimal.
 """
+
+import hashlib
 
 from maxdisp import run_benchmark, to_csv
 
@@ -39,3 +42,13 @@ GOLDEN_ENUMERATED = (
 def test_benchmark_csv_golden_enumerated():
     records = run_benchmark(n=5, m_values=(12,), runs=3, oracle_budget=2000, seed=0)
     assert to_csv(records) == GOLDEN_ENUMERATED
+
+
+# the sha256 of the whole protocol's CSV at the default seed (m = 6..30, 10
+# runs each), captured before the interior systems became the sets' own ties
+PROTOCOL_SHA256 = "290d5a107955a2e7b3717604cf91bc268835efc6398a469e64a9c38a5cf9a314"
+
+
+def test_protocol_csv_digest():
+    csv = to_csv(run_benchmark(n=5, m_values=range(6, 31), runs=10, seed=0))
+    assert hashlib.sha256(csv.encode()).hexdigest() == PROTOCOL_SHA256

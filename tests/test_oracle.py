@@ -300,11 +300,61 @@ def test_interior_roots_tie_with_nearly_equal_weights():
     P = np.array([[0.3], [-0.5]])
     for d in (1e-3, 1e-5, 1e-7):
         w = np.array([1.0, 1.0 + d])
-        pts, ok = _face_points(P, w, np.einsum("ij,ij->i", P, P), 0.0, np.array([[0, 1]]))
+        pts, ok = _face_points(P, w, np.einsum("ij,ij->i", P, P)[None], 0.0, np.array([[0, 1]]))
         inside = pts[ok][np.abs(pts[ok][:, 0]) <= 1.0]
         assert len(inside) == 1, d
         terms = w * ((inside[0] - P) ** 2).sum(axis=1)
         assert abs(terms[0] - terms[1]) <= 1e-14 * terms.max(), d
+
+
+def test_interior_roots_of_close_cospherical_anchors():
+    # six unit-weight anchors on the radius-3 circle, two of them 0.1 apart:
+    # every triple ties at the center.  The ties keep the anchors'
+    # conditioning; the multiplier kernel's Gram block -2 w_A P_A P_A^T
+    # squares it, which put the center up to 1.8e-12 off here
+    ang = np.array([0.0, 2.0 * np.arcsin(0.1 / 6.0), 1.3, 2.6, 3.9, 5.1])
+    P = 3.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+    triples = np.array(list(combinations(range(6), 3)))
+    pts, ok = _face_points(P, np.ones(6), np.einsum("ij,ij->i", P, P)[None], 0.0, triples)
+    off = np.where(ok[0], np.linalg.norm(pts[0], axis=-1), np.inf).min(axis=1)
+    assert off.shape == (20,) and off.max() <= 5e-13, off.max()
+
+
+def test_box_faces_share_one_factorization_per_set(monkeypatch):
+    # the faces that fix the same coordinates J differ only in the sign
+    # pattern sigma, which enters the right-hand side alone: _face_points
+    # runs once per (J, block) for every sigma, byte for byte as one call per
+    # sigma, and a block holds at most _BLOCK (set, sigma) systems.  Small
+    # blocks split the sets but leave the candidates
+    monkeypatch.setattr(oracle, "_BLOCK", 8)
+    calls = []
+
+    def recording_face_points(P, w, C, shift, sets):
+        inner, ok = face_points(P, w, C, shift, sets)
+        for i in range(len(C)):
+            one, one_ok = face_points(P, w, C[i : i + 1], shift, sets)
+            assert one.tobytes() == inner[i : i + 1].tobytes()
+            assert one_ok.tobytes() == ok[i : i + 1].tobytes()
+        calls.append((int(shift), len(C), len(sets)))
+        return inner, ok
+
+    face_points = oracle._face_points
+    for n in range(2, 6):
+        for family in ("weighted", "integer", "duplicate"):
+            inst = _family_instance(family, n, n + 4, 50 * n, Geometry.BOX)
+            sets, size = _active_sets(inst)
+            whole = np.concatenate([pts for pts, _ in _candidate_blocks(inst, sets, size)])
+            monkeypatch.setattr(oracle, "_face_points", recording_face_points)
+            calls.clear()
+            split = np.concatenate([pts for pts, _ in _candidate_blocks(inst, sets, size)])
+            monkeypatch.setattr(oracle, "_face_points", face_points)
+            assert sorted(x.tobytes() for x in split) == sorted(x.tobytes() for x in whole)
+            expected = []
+            for k in range(n):
+                count, per = int(np.sum(size == n - k + 1)), max(1, 8 >> k)
+                expected += [(k, 2**k, min(per, count - s)) for s in range(0, count, per)
+                             ] * math.comb(n, k)
+            assert sorted(calls) == sorted(expected), (n, family)
 
 
 _FAMILIES = ("duplicate", "antiparallel", "cospherical", "integer", "hardness", "weighted")
@@ -340,7 +390,8 @@ def test_active_sets_match_unique_reference(monkeypatch):
              for family in ("duplicate", "antiparallel", "integer", "weighted")
              for n, m in ((2, 5), (3, 12), (4, 20), (5, 30), (6, 9), (6, 14))]
     lexsorted = [_active_sets(inst) for inst in cases]
-    monkeypatch.setattr(oracle, "_distinct_rows", lambda rows: np.unique(rows, axis=0))
+    monkeypatch.setattr(oracle, "_distinct_rows",
+                        lambda rows: np.unique(rows, axis=0, return_index=True)[1])
     pruned = 0
     for inst, (idx, size) in zip(cases, lexsorted):
         ref_idx, ref_size = _active_sets(inst)
@@ -406,10 +457,43 @@ def test_pruned_equals_every_set(family, monkeypatch):
             assert kept < total
 
 
+def _multiplier_face_points(P, w, c, shift, sets):
+    """The interior kernel the tie system replaced, verbatim: a (K + 1) x
+    (K + 1) multiplier system with a Gram block, a sum-to-one row and a map
+    theta -> x, for one vector c.  The reference for sets smaller than
+    |F| + 1, which the oracle never solves."""
+    count, K = sets.shape
+    PA, wA = P[sets], w[sets]
+    M = np.zeros((count, K + 1, K + 1))
+    M[:, :K, :K] = -2.0 * (wA[:, :, None] * PA) @ PA.transpose(0, 2, 1)
+    M[:, :K, K], M[:, K, :K] = -1.0, 1.0
+    rhs = np.zeros((count, K + 1, 2))
+    rhs[:, :K, 0], rhs[:, K, 0], rhs[:, :K, 1] = -(wA * c[sets]), 1.0, -wA
+    left, sv, right = np.linalg.svd(M)
+    keep = sv > np.finfo(float).eps * (K + 1) * sv[:, :1]
+    z = np.einsum("sji,sjc->sic", left, rhs) / np.where(keep, sv, np.inf)[:, :, None]
+    theta = np.einsum("sji,sjc->sic", right, z)[:, :K]
+    x0, x1 = np.einsum("skn,skc->csn", PA, theta)
+    qa = np.einsum("sn,sn->s", x1, x1)
+    qb = 2.0 * np.einsum("sn,sn->s", x0, x1) - 1.0
+    qc = np.einsum("sn,sn->s", x0, x0) + shift
+    disc = qb * qb - 4.0 * qa * qc
+    # the root pair without cancellation, larger first; q / qa is infinite
+    # when qa = 0, and qc / q is then the root of the linear equation
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.sort(np.stack([qc / q, q / qa], axis=1), axis=1)[:, ::-1]
+    ok = (disc >= 0.0)[:, None] & np.isfinite(u) & (u >= shift - 1e-12)
+    u = np.where(ok, np.maximum(u, shift), shift)
+    return x0[:, None] + u[:, :, None] * x1[:, None], ok
+
+
 def _every_small_set_system(inst):
     """solve_global's value and x_best, and every candidate, when every face
     solves the interior systems of every kept set of at most |F| + 1
-    anchors, one unpadded _face_points call per set size; scored in one batch."""
+    anchors, one unpadded call per set size: the oracle's _face_points for
+    sets of exactly |F| + 1, the multiplier kernel per sign pattern for
+    smaller sets; scored in one batch."""
     P, w, n = inst.points, inst.weights, inst.dim
     sets, size = _active_sets(inst)
     p_sq = np.einsum("ij,ij->i", P, P)
@@ -423,21 +507,27 @@ def _every_small_set_system(inst):
     else:
         cands = [np.array(list(product((-1.0, 1.0), repeat=n)))]
     for k in range(1 if ball else n):
-        for J, sigma in product(combinations(range(n), k), product((-1.0, 1.0), repeat=k)):
+        signs = np.array(list(product((-1.0, 1.0), repeat=k)))
+        for J in combinations(range(n), k):
             J, F = list(J), [j for j in range(n) if j not in J]
-            c = p_sq - 2.0 * (P[:, J] @ np.array(sigma))
+            C = p_sq - 2.0 * signs @ P[:, J].T
             for r in range(1, len(F) + 2):
                 if not np.any(size == r):
                     continue
-                inner, ok = _face_points(P[:, F], w, c, float(k), sets[size == r, :r])
-                if ball:
-                    nrm = np.sqrt((inner[:, :, None, :] @ inner[:, :, :, None])[:, :, 0, 0])
-                    ok &= nrm <= 1.0 + 1e-9
-                    x = inner / np.maximum(1.0, nrm)[:, :, None]
+                kept = sets[size == r, :r]
+                if r == len(F) + 1:
+                    inner, ok = _face_points(P[:, F], w, C, float(k), kept)
                 else:
-                    ok &= np.abs(inner).max(axis=2) <= 1.0 + 1e-9
-                    x = np.empty(inner.shape[:2] + (n,))
-                    x[:, :, F], x[:, :, J] = np.clip(inner, -1.0, 1.0), sigma
+                    per_sign = [_multiplier_face_points(P[:, F], w, c, float(k), kept) for c in C]
+                    inner, ok = map(np.stack, zip(*per_sign))
+                if ball:
+                    nrm = np.sqrt((inner[..., None, :] @ inner[..., :, None])[..., 0, 0])
+                    ok &= nrm <= 1.0 + 1e-9
+                    x = inner / np.maximum(1.0, nrm)[..., None]
+                else:
+                    ok &= np.abs(inner).max(axis=-1) <= 1.0 + 1e-9
+                    x = np.empty(inner.shape[:-1] + (n,))
+                    x[..., F], x[..., J] = np.clip(inner, -1.0, 1.0), signs[:, None, None]
                 cands.append(x[ok])
     X = np.concatenate(cands)
     best = X[int(np.argmax(evaluate_batch(inst, X)))]
@@ -474,9 +564,9 @@ def test_interior_systems_only_on_faces_with_more_anchors(monkeypatch):
     # exactly |F| + 1 distinct anchors; a ball with m <= n never calls it
     calls = []
 
-    def recording_face_points(P, w, c, shift, sets):
+    def recording_face_points(P, w, C, shift, sets):
         calls.append((P.shape[1], sets.shape[1], {len(set(r)) for r in sets.tolist()}))
-        return face_points(P, w, c, shift, sets)
+        return face_points(P, w, C, shift, sets)
 
     face_points = oracle._face_points
     monkeypatch.setattr(oracle, "_face_points", recording_face_points)
