@@ -21,8 +21,9 @@ anchors' norms and nonzero rows (transposed) are built once per instance;
 the sphere sampler, the box sampler and bound_refined read them.  For the
 general sampler, the lift's scale, the anchor images' rows and norms,
 sqrt(lift[n, n]) and sqrt(gamma1(lift)) are kept for the last lift seen and
-prepared again whenever a lift differs from it in shape or content.  A call
-then only draws, tests and evaluates.
+prepared again whenever a lift differs from it in shape or content.  The
+sphere sampler keeps its alpha, bound_r and bound_refined for the last rho
+seen.  A call then only draws, tests and scores the accepted point.
 
 Every sampler consumes an explicit numpy Generator in fixed-size batches, so
 an equally seeded generator reproduces the draws exactly, and a second call
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DispersionInstance, Geometry, evaluate
+from .instance import DispersionInstance, Geometry
 from .relax import (
     RelaxationResult,
     gamma1,
@@ -64,6 +65,7 @@ _BATCH = 128
 # rows of each batch tested before the rest: most calls accept among them
 _FIRST_ROWS = 8
 _DEFAULT_BUDGET = 1_000_000
+_SIGNS = np.array([-1.0, 1.0])  # bit -> sign, by lookup
 
 
 class SampleBudgetExceeded(RuntimeError):
@@ -106,6 +108,12 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
+def _check_budget(budget) -> int:
+    if not (budget >= 0 and float(budget).is_integer()):
+        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
+    return int(budget)
+
+
 def _prepare(directions):
     """(norms of every row, D, norms of D's columns) for the rejection test,
     where D holds the nonzero rows of `directions`, transposed: a zero row
@@ -142,6 +150,17 @@ def _lift_test(inst, lift):
     return entry[1]
 
 
+def _ball_constants(inst, rho):
+    """(alpha, bound_r, refined bound) of approx_ball, kept for the last rho seen."""
+    entry = inst.__dict__.get("_ball_constants")
+    if entry is None or entry[0] != rho:
+        n, ratio = inst.dim, rho / inst.m
+        alpha = tail_s_inverse(n, ratio) if ratio < 0.5 else 0.0
+        entry = (rho, (alpha, 0.5 * (1.0 - alpha / math.sqrt(n)), bound_refined(inst, rho)))
+        inst.__dict__["_ball_constants"] = entry
+    return entry[1]
+
+
 def _rejection(draw, rows, D, norms, alpha, budget, stretch=1.0):
     """First candidate z of the batches with stretch * (z . d_j) < alpha * norms_j
     for every column d_j of D -> (z, raw draws, accepted index).
@@ -164,7 +183,7 @@ def _rejection(draw, rows, D, norms, alpha, budget, stretch=1.0):
             proj = z @ D
             if stretch != 1.0:
                 proj *= stretch
-            ok = (proj < thresholds).all(axis=1)
+            ok = np.logical_and.reduce(proj < thresholds, axis=1)
             k = int(ok.argmax())
             if ok[k]:
                 return z[k].copy(), seen + take, seen + lo + k + 1
@@ -179,21 +198,16 @@ def _sign_rejection(inst, rho, rng, budget, D, norms):
     alpha = math.sqrt(2.0 * math.log(inst.m / rho))
     return (alpha, *_rejection(
         lambda k: rng.integers(0, 2, size=(k, n)),
-        lambda bits: bits.astype(float) * 2.0 - 1.0,
+        _SIGNS.take,
         D, norms, alpha, budget,
     ))
 
 
 def _result(inst, x, raw, at, alpha, bound_r, refined_bound=None):
-    return ApproxResult(
-        x_tilde=x,
-        f_value=evaluate(inst, x).value,
-        raw_samples=raw,
-        accepted_at=at,
-        alpha_used=alpha,
-        bound_r=bound_r,
-        refined_bound=refined_bound,
-    )
+    # evaluate's own operations, so f_value is bit-identical to evaluate(inst, x)
+    d = inst.points - x
+    value = float(np.minimum.reduce(inst.weights * np.einsum("ij,ij->i", d, d)))
+    return ApproxResult(x, value, raw, at, alpha, bound_r, refined_bound)
 
 
 def approx_ball(
@@ -216,18 +230,14 @@ def approx_ball(
     n = inst.dim
     if n < 2:
         raise ValueError("approx_ball requires dimension n >= 2")
-    rho = _check_rho(rho)
-    ratio = rho / inst.m
-    alpha = tail_s_inverse(n, ratio) if ratio < 0.5 else 0.0
-    root_n = math.sqrt(n)
+    rho, budget = _check_rho(rho), _check_budget(budget)
+    alpha, bound_r, refined = _ball_constants(inst, rho)
     _, D, norms = _anchor_test(inst)
     x, raw, at = _rejection(
         lambda k: rng.standard_normal((k, n)), _unit_rows, D, norms, alpha, budget,
-        stretch=root_n,
+        stretch=math.sqrt(n),
     )
-    return _result(
-        inst, x, raw, at, alpha, 0.5 * (1.0 - alpha / root_n), bound_refined(inst, rho)
-    )
+    return _result(inst, x, raw, at, alpha, bound_r, refined)
 
 
 def approx_general_fixed(
@@ -245,7 +255,7 @@ def approx_general_fixed(
     is (1 - alpha sqrt(g1))/2 where g1 is the lift's diagonal concentration,
     which can be negative, in which case the guarantee is vacuous.
     """
-    rho = _check_rho(rho)
+    rho, budget = _check_rho(rho), _check_budget(budget)
     ball = inst.geometry is Geometry.BALL
     if lift is None:
         if relaxation is None:
@@ -270,7 +280,7 @@ def approx_box_simplified(
     """
     if inst.geometry is not Geometry.BOX:
         raise ValueError("approx_box_simplified requires a box-geometry instance")
-    rho = _check_rho(rho)
+    rho, budget = _check_rho(rho), _check_budget(budget)
     alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, *_anchor_test(inst)[1:])
     return _result(inst, xi, raw, at, alpha, 0.5 * (1.0 - alpha / math.sqrt(inst.dim)))
 

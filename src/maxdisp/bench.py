@@ -79,6 +79,8 @@ def run_benchmark(
     All anchor sets are consecutive blocks of a single uniform [-1, 1]
     stream, so growing m_values extends rather than reshuffles the data.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     m_list = [int(m) for m in m_values]
     if any(m < 1 for m in m_list):
         raise ValueError("anchor counts must be positive")

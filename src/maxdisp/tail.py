@@ -101,7 +101,7 @@ def sample_sphere(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
 def _unit_rows(raw: np.ndarray) -> np.ndarray:
     """The rows of raw scaled to unit norm; a zero row stays zero.  The sphere
     sampler calls it on the slices of a standard normal batch it tests."""
-    nrm = np.linalg.norm(raw, axis=1)
+    nrm = np.sqrt(np.add.reduce(raw * raw, axis=1))
     nrm[nrm == 0.0] = 1.0
     return raw / nrm[:, None]
 

@@ -1,5 +1,6 @@
 """Randomized rounding samplers: guarantees, acceptance bookkeeping, budgets."""
 
+import hashlib
 import math
 from itertools import product
 
@@ -159,9 +160,37 @@ def test_zero_image_instance_terminates():
 
 def test_budget_zero_always_raises():
     inst = generate_random(6, 10, seed=2)
-    with pytest.raises(SampleBudgetExceeded) as info:
-        approx_ball(inst, 0.5, np.random.default_rng(0), budget=0)
-    assert info.value.draws == 0
+    box = generate_random(6, 10, seed=2, geometry=Geometry.BOX)
+    for call in (lambda g: approx_ball(inst, 0.5, g, budget=0),
+                 lambda g: approx_box_simplified(box, 0.5, g, budget=0),
+                 lambda g: approx_general_fixed(box, 0.5, g, budget=0)):
+        with pytest.raises(SampleBudgetExceeded) as info:
+            call(np.random.default_rng(0))
+        assert info.value.draws == 0
+
+
+@pytest.mark.parametrize("bad", [-1, -128, 2.5, 1e-3, float("nan"), float("inf")])
+def test_invalid_budget_raises_before_any_draw(bad):
+    ball = generate_random(4, 6, seed=2)
+    box = generate_random(4, 6, seed=2, geometry=Geometry.BOX)
+    lift = lift_box(solve_cr_box(box), box)
+    calls = (lambda g: approx_ball(ball, 0.5, g, budget=bad),
+             lambda g: approx_box_simplified(box, 0.5, g, budget=bad),
+             lambda g: approx_general_fixed(box, 0.5, g, budget=bad, lift=lift))
+    for call in calls:
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="budget"):
+            call(rng)
+        assert rng.bit_generator.state == state
+
+
+def test_integral_budgets_of_any_type_accepted():
+    inst = generate_random(4, 6, seed=2)
+    want = approx_ball(inst, 0.5, np.random.default_rng(4), budget=300)
+    for budget in (300.0, np.int64(300), np.float64(300.0)):
+        got = approx_ball(inst, 0.5, np.random.default_rng(4), budget=budget)
+        assert _outcome(got) == _outcome(want)
 
 
 def test_budget_exceeded_and_resume():
@@ -301,6 +330,71 @@ def test_prepared_tests_match_fresh_instances(geom):
     # the same bytes in a shape that is no lift
     with pytest.raises(ValueError):
         approx_general_fixed(inst, 0.5, np.random.default_rng(7), lift=lift.reshape(1, -1))
+
+
+# the sha256 of every result field over _mix_digest's calls, captured before
+# approx_ball kept its per-rho constants and _result stopped calling evaluate
+SAMPLER_MIX_SHA256 = "c6ec2b9b31c102e48ddf35c69eb9d5711a1c6cfe37d6da3f363eac6c5c649c55"
+
+
+def _mix_digest():
+    """sha256 over all three samplers on ball and box, n in {5, 20}, m in
+    {6, 120}, rho in {0.9999, 0.5, 1e-9}, four calls on each generator."""
+    h = hashlib.sha256()
+    for k, (geom, n, m) in enumerate(product((Geometry.BALL, Geometry.BOX), (5, 20), (6, 120))):
+        ball = geom is Geometry.BALL
+        inst = generate_random(n, m, seed=k, geometry=geom)
+        lift = (lift_ball if ball else lift_box)((solve_cr_ball if ball else solve_cr_box)(inst), inst)
+        own = approx_ball if ball else approx_box_simplified
+        samplers = (own, lambda i, r, g: approx_general_fixed(i, r, g, lift=lift))
+        for (s, sampler), (j, rho) in product(enumerate(samplers), enumerate((0.9999, 0.5, 1e-9))):
+            rng = np.random.default_rng([k, s, j])
+            for _ in range(4):
+                res = sampler(inst, rho, rng)
+                h.update(res.x_tilde.tobytes())
+                h.update(repr((res.f_value, res.raw_samples, res.accepted_at, res.alpha_used,
+                               res.bound_r, res.refined_bound)).encode())
+    return h.hexdigest()
+
+
+def test_sampler_mix_digest():
+    assert _mix_digest() == SAMPLER_MIX_SHA256
+
+
+def test_kept_ball_constants_match_fresh_instances():
+    # approx_ball keeps alpha and its bounds for the last rho: one instance
+    # served alternating rho gives what fresh equal instances give, including
+    # rho/m >= 0.5, where alpha is 0
+    points = np.random.default_rng(22).uniform(-1.0, 1.0, size=(30, 5))
+    one = np.array([[0.3, -0.2, 0.4]])
+    for pts, rhos in ((points, (0.9999, 0.5, 1e-9, np.float64(0.5), 0.5, 0.9999, 1e-9)),
+                      (one, (0.7, 0.5, 1e-9, np.float64(0.7), 0.7, 0.4))):
+        m, n = pts.shape
+        inst = DispersionInstance(n, pts, np.ones(m), Geometry.BALL)
+        kept, new = np.random.default_rng(3), np.random.default_rng(3)
+        for rho in rhos * 2:
+            got = approx_ball(inst, rho, kept)
+            assert _outcome(got) == _outcome(
+                approx_ball(DispersionInstance(n, pts, np.ones(m), Geometry.BALL), rho, new))
+            assert (got.alpha_used == 0.0) == (rho / m >= 0.5)
+
+
+def test_f_value_is_evaluate_bit_for_bit(monkeypatch):
+    # every result of the lazy-rejection sweep scores its point exactly as
+    # evaluate does
+    seen = []
+    real = maxdisp.approx._result
+
+    def recording(inst, *args):
+        res = real(inst, *args)
+        seen.append((inst, res))
+        return res
+
+    monkeypatch.setattr(maxdisp.approx, "_result", recording)
+    _sampler_outcomes()
+    assert len(seen) > 1000
+    for inst, res in seen:
+        assert res.f_value == evaluate(inst, res.x_tilde).value
 
 
 def test_mean_waiting_time_reasonable():

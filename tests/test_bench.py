@@ -12,6 +12,8 @@ reaches v_cr, so the relaxation proves it optimal.
 
 import hashlib
 
+import pytest
+
 from maxdisp import run_benchmark, to_csv
 
 GOLDEN = (
@@ -52,3 +54,9 @@ PROTOCOL_SHA256 = "290d5a107955a2e7b3717604cf91bc268835efc6398a469e64a9c38a5cf9a
 def test_protocol_csv_digest():
     csv = to_csv(run_benchmark(n=5, m_values=range(6, 31), runs=10, seed=0))
     assert hashlib.sha256(csv.encode()).hexdigest() == PROTOCOL_SHA256
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+def test_runs_below_one_rejected_up_front(runs):
+    with pytest.raises(ValueError, match="runs"):
+        run_benchmark(n=2, m_values=(6,), runs=runs)

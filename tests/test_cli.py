@@ -185,6 +185,14 @@ def test_bench_markdown(capsys):
     assert "v_oracle" in out
 
 
+def test_bench_zero_runs_is_an_error(capsys):
+    argv = ["bench", "--n", "2", "--m", "6", "--runs", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: runs must be at least 1" in captured.err
+
+
 def test_hardness_gen_writes_instance_and_report(tmp_path, capsys):
     target = tmp_path / "reduction.json"
     assert main(["hardness-gen", "--a", "1,1,2", "--out", str(target)]) == 0
