@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DispersionInstance, Geometry
+from .instance import DispersionInstance, Geometry, _value
 from .relax import (
     RelaxationResult,
     gamma1,
@@ -204,10 +204,7 @@ def _sign_rejection(inst, rho, rng, budget, D, norms):
 
 
 def _result(inst, x, raw, at, alpha, bound_r, refined_bound=None):
-    # evaluate's own operations, so f_value is bit-identical to evaluate(inst, x)
-    d = inst.points - x
-    value = float(np.minimum.reduce(inst.weights * np.einsum("ij,ij->i", d, d)))
-    return ApproxResult(x, value, raw, at, alpha, bound_r, refined_bound)
+    return ApproxResult(x, _value(inst, x), raw, at, alpha, bound_r, refined_bound)
 
 
 def approx_ball(

@@ -102,6 +102,8 @@ _ALGOS = {
 
 
 def _cmd_approx(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"runs must be at least 1, got {args.runs}")
     inst = read_instance(args.instance)
     run = _ALGOS[args.algo]
     print("run,value,accepted_at,raw_samples,bound_factor")

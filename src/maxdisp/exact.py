@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svd
 from scipy.optimize import linprog
 
-from .instance import DispersionInstance, Geometry, _sphere_step, evaluate
+from .instance import DispersionInstance, Geometry, _sphere_step, _value
 from .relax import RelaxationResult, solve_cr_ball
 
 __all__ = [
@@ -42,6 +41,7 @@ __all__ = [
 _ZERO_THRESHOLD = 1e-9
 # required slack for the returned unit direction: p_i . d <= _SLACK_TOL
 _SLACK_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 class NotApplicableError(RuntimeError):
@@ -69,13 +69,16 @@ class ExactResult:
 def _candidates(points):
     """Sign-direction candidates, cheapest first, as the module docstring says:
     a null(P[:-1]) vector turned away from the last anchor, then the LP's."""
-    # null_space's own SVD and rank rule, without its finiteness check: the
-    # instance already checked its anchors
+    # scipy's null_space rank rule on numpy's SVD (the same LAPACK gesdd), with
+    # no finiteness check: the instance already checked its anchors
     head = points[:-1]
-    _, s, vt = svd(head, check_finite=False)
-    rank = int(np.sum(s > np.finfo(float).eps * max(head.shape) * np.amax(s, initial=0.0)))
+    _, s, vt = np.linalg.svd(head)
+    rank = int((s > _EPS * max(head.shape) * s.max(initial=0.0)).sum())
     if rank < len(vt):
-        d = vt[rank]
+        # scipy.linalg.svd's layout (Fortran order): the sign test's dot product
+        # rounds by the row's stride, and it decides the sign wherever the last
+        # anchor lies in the span of the others
+        d = np.asfortranarray(vt)[rank]
         yield -d if float(points[-1] @ d) > 0.0 else d
     res = linprog(points.sum(axis=0), A_ub=points, b_ub=np.zeros(len(points)),
                   bounds=[(-1.0, 1.0)] * points.shape[1], method="highs")
@@ -95,7 +98,7 @@ def find_sign_direction(inst: DispersionInstance) -> np.ndarray | None:
         nrm = float(np.linalg.norm(d))
         if nrm > _ZERO_THRESHOLD:
             d = d / nrm
-            if float(np.max(points @ d)) <= _SLACK_TOL:
+            if float((points @ d).max()) <= _SLACK_TOL:
                 return d
     return None
 
@@ -121,10 +124,9 @@ def solve_exact(inst: DispersionInstance) -> ExactResult:
     relaxation = solve_cr_ball(inst)
     alpha = _sphere_step(relaxation.x_star, d)
     x_opt = relaxation.x_star + alpha * d
-    ev = evaluate(inst, x_opt)
     return ExactResult(
         x_opt=x_opt,
-        value=ev.value,
+        value=_value(inst, x_opt),
         certificate=d,
         alpha=alpha,
         relaxation=relaxation,

@@ -171,6 +171,13 @@ def evaluate(inst: DispersionInstance, x) -> Evaluation:
     return Evaluation(point=x.copy(), value=float(vals[idx]), argmin_index=idx)
 
 
+def _value(inst: DispersionInstance, x: np.ndarray) -> float:
+    """evaluate(inst, x).value bit for bit, for an x of shape (dim,) that needs
+    no check, without building the Evaluation record."""
+    diff = inst.points - x
+    return float(np.minimum.reduce(inst.weights * np.einsum("ij,ij->i", diff, diff)))
+
+
 def evaluate_batch(inst: DispersionInstance, xs: np.ndarray) -> np.ndarray:
     """Evaluate the objective at each row of xs, shape (k, dim) -> (k,).
 

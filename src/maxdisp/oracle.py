@@ -46,7 +46,7 @@ from itertools import combinations, product
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .instance import DispersionInstance, Geometry, evaluate, evaluate_batch
+from .instance import DispersionInstance, Geometry, _value, evaluate_batch
 from .relax import _distinct_rows, _padded_sets, _sphere_points
 
 __all__ = ["OracleResult", "solve_global"]
@@ -185,7 +185,7 @@ def _candidate_blocks(inst, sets, size):
         a, B = w * (1.0 + p_sq), 2.0 * w[:, None] * P
         for s in range(0, len(sets), _BLOCK):
             c, step, on_sphere = _sphere_points(a, B, sets[s : s + _BLOCK])
-            X = np.stack([c + step, c - step], axis=1)[on_sphere]
+            X = np.concatenate([c + step, c - step], axis=1).reshape(-1, 2, n)[on_sphere]
             # as row-vector products, which round as np.linalg.norm of one vector
             X /= np.sqrt((X[:, :, None, :] @ X[:, :, :, None])[:, :, 0, 0])[:, :, None]
             yield X.reshape(-1, n), len(c)
@@ -252,7 +252,5 @@ def solve_global(
         f"enumerated: best of {found} stationary points of {len(idx)} active "
         "sets; pair with a relaxation upper bound for soundness"
     )
-    return OracleResult(
-        x_best=best_x, value=evaluate(inst, best_x).value, method_trace=trace,
-        certified_radius=note,
-    )
+    return OracleResult(x_best=best_x, value=_value(inst, best_x), method_trace=trace,
+                        certified_radius=note)

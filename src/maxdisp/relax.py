@@ -22,7 +22,8 @@ polish takes both sides to rounding level.  A set of pieces has face points
 where all of them tie: the tie set's minimum-norm point c and, where the set
 meets the sphere, c - step (_sphere_points, whose c + step the oracle uses
 too).  With m <= min(n, 8) pieces the face points of all sets of pieces come
-first; the barrier runs only if a gap is left.
+first, then the polish's exact solves one at a time, stopping at the first
+simplex vector that closes the gap; the barrier runs only if a gap is left.
 
 The optimum also induces a feasible matrix for the semidefinite relaxation of
 the same problem (`lift_ball`, `lift_box`), realizing the equivalence between
@@ -54,7 +55,7 @@ __all__ = [
 _ACTIVE_CAP_PAD = 6
 _TAU_GROWTH = 8.0
 # largest m (<= n) starting from all 2^m - 1 face points; ms per solve, n = 10, 2 vCPUs,
-# start vs barrier: m = 7 1.6 vs 2.6, 8 2.6 vs 4.7, 9 6.0 vs 4.7, 10 12.1 vs 7.5
+# start vs barrier: m = 7 1.3 vs 2.0, 8 1.6 vs 2.3, 9 3.9 vs 2.9, 10 8.6 vs 3.0
 _START_MAX = 8
 
 
@@ -90,8 +91,11 @@ class _Certificate:
 
     def __init__(self, a, B, ball):
         self.a, self.B, self.ball = a, B, ball
-        self.x, self.f, self.upper = np.zeros(B.shape[1]), float(np.min(a)), math.inf
-        self.offer_bound(np.eye(1, a.size, int(np.argmin(a)))[0])
+        i = int(a.argmin())
+        self.x, self.f, self.upper = np.zeros(B.shape[1]), float(a[i]), math.inf
+        lam = np.zeros(a.size)
+        lam[i] = 1.0
+        self.offer_bound(lam)
 
     def offer_point(self, x):
         x = _project(x, self.ball)
@@ -110,12 +114,14 @@ class _Certificate:
         points, so a tie in F keeps c."""
         c, step, on_sphere = _sphere_points(self.a, self.B, acts)
         X = np.concatenate([c, (c - step)[on_sphere]])
-        X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
-        self.offer_point(X[np.argmax(np.min(self.a - X @ self.B.T, axis=1))])
+        # np.linalg.norm(X, axis=1), without its dispatch
+        X /= np.maximum(1.0, np.sqrt(np.add.reduce(X * X, axis=1)))[:, None]
+        self.offer_point(X[(self.a - X @ self.B.T).min(axis=1).argmax()])
 
 
 def _multipliers(B, x, act):
-    """Simplex multipliers supported on act, by nonnegative least squares.
+    """Simplex multipliers supported on act, by nonnegative least squares,
+    yielded one solve at a time.
 
     At the ball's optimum B^T lam is -nu x (nu >= 0) on the sphere and 0 at
     an interior point.  One solve offers the radial direction as an extra
@@ -123,21 +129,22 @@ def _multipliers(B, x, act):
     loose solutions.
     """
     m, n = B.shape
+    k, cols = act.size, B[act].T
     nx = float(np.linalg.norm(x))
-    extra = x[:, None] / nx if nx > 1e-9 else np.zeros((n, 0))
-    out = []
-    for mat in (np.hstack([B[act].T, extra]), B[act].T)[: 2 if extra.size else 1]:
+    for mat in ((np.column_stack([cols, x / nx]), cols) if nx > 1e-9 else (cols,)):
         scale = max(1.0, float(np.abs(mat).max()))
-        penalty = np.where(np.arange(mat.shape[1]) < act.size, scale, 0.0)
+        # a last row asks sum(lam) = 1, weighted like the columns
+        system, rhs = np.zeros((n + 1, mat.shape[1])), np.zeros(n + 1)
+        system[:n], system[n, :k], rhs[n] = mat, scale, scale
         try:
-            sol = nnls(np.vstack([mat, penalty]), np.append(np.zeros(n), scale))[0]
+            sol = nnls(system, rhs)[0][:k]
         except RuntimeError:
             continue
-        sol = sol[: act.size]
-        if sol.sum() > 1e-12:
-            out.append(np.zeros(m))
-            out[-1][act] = sol / sol.sum()
-    return out
+        total = sol.sum()
+        if total > 1e-12:
+            lam = np.zeros(m)
+            lam[act] = sol / total
+            yield lam
 
 
 def _sphere_points(a, B, acts):
@@ -153,15 +160,17 @@ def _sphere_points(a, B, acts):
     set where b_0.x is constant on it (antiparallel or repeated anchors).
     """
     n = B.shape[1]
-    u, sv, vt = np.linalg.svd(B[acts[:, 1:]] - B[acts[:, :1]])
+    Bs, As = B[acts], a[acts]
+    b0 = Bs[:, 0]
+    u, sv, vt = np.linalg.svd(Bs[:, 1:] - Bs[:, :1])
     keep, r = sv > 1e-12 * sv[:, :1], sv.shape[1]
     # row-vector products: a stack of one rounds as one matrix-vector product,
     # and a norm as np.linalg.norm of one vector
-    proj = ((a[acts[:, 1:]] - a[acts[:, :1]])[:, None, :] @ u[:, :, :r])[:, 0]
+    proj = ((As[:, 1:] - As[:, :1])[:, None, :] @ u[:, :, :r])[:, 0]
     c = ((proj / np.where(keep, sv, np.inf))[:, None, :] @ vt[:, :r])[:, 0]
     rank, room = keep.sum(axis=1), 1.0 - (c[:, None, :] @ c[:, :, None])[:, 0, 0]
-    b0 = B[acts[:, 0]]
-    g = np.where(np.arange(n) >= rank[:, None], (vt @ b0[:, :, None])[:, :, 0], 0.0)
+    g = (vt @ b0[:, :, None])[:, :, 0]
+    g[np.arange(n) < rank[:, None]] = 0.0
     gn = np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
     flat = gn <= 1e-12 * np.maximum(1.0, np.sqrt((b0[:, None, :] @ b0[:, :, None])[:, 0, 0]))
     along = (g[:, None, :] @ vt)[:, 0] / np.where(flat, 1.0, gn)[:, None]
@@ -201,21 +210,20 @@ def _padded_sets(m, k):
 def _polish(cert, lam):
     """One pass of exact solves on two ball active sets: the top n + 1 entries
     of lam, and the pieces within 1e-3 relative of the minimum at cert.x (at
-    most 3n + 6 of them).  Offers the bound of each set's multipliers and
-    returns their supports, whose face points the caller offers: a face point
-    depends on its support alone.
+    most 3n + 6 of them).  Offers the bound of each set's multipliers, one
+    solve at a time, and yields its support after offering it: a caller may
+    stop once the gap closes, or take every support and offer their face
+    points, since a face point depends on its support alone.
     """
     a, B, n = cert.a, cert.B, cert.B.shape[1]
     order = np.argsort(r := a - B @ cert.x, kind="stable")
     k = np.searchsorted(r[order], cert.f + 1e-3 * max(1.0, abs(cert.f)), "right")
-    sets = {tuple(np.sort(np.argsort(-lam, kind="stable")[: n + 1])),
-            tuple(np.sort(order[: min(max(k, 1), 3 * n + _ACTIVE_CAP_PAD)]))}
-    supports = []
+    sets = {tuple(np.sort(np.argsort(-lam, kind="stable")[: n + 1]).tolist()),
+            tuple(np.sort(order[: min(max(k, 1), 3 * n + _ACTIVE_CAP_PAD)]).tolist())}
     for act in sorted(sets):
         for mult in _multipliers(B, cert.x, np.array(act)):
             cert.offer_bound(mult)
-            supports.append(tuple(np.flatnonzero(mult).tolist()))
-    return supports
+            yield tuple(np.flatnonzero(mult).tolist())
 
 
 def _solve_box(cert, tol, fine, max_iter):
@@ -242,13 +250,18 @@ def _solve_ball(cert, tol, fine, max_iter):
     the value; it seeds the polish.  Stops when the polish closes the gap,
     after max_iter Newton steps (the count returned), or once (m + 1) / tau
     is far below tol, past which phi has no digits left to resolve.  The
-    face-point start (m <= min(n, _START_MAX)) returns 0 if it closes the gap.
+    face-point start (m <= min(n, _START_MAX)) offers every face point, then
+    the polish's bounds until one closes the gap, and returns 0 if one does.
     """
     a, B, (m, n) = cert.a, cert.B, cert.B.shape
     start, offered = m <= min(n, _START_MAX), set()  # supports whose face points are offered
     if start:
         cert.offer_faces(_padded_sets(m, m)[0])
-        _polish(cert, np.ones(m))  # with m <= n its first set is every piece
+        # with m <= n one of the polish's sets is every piece; its supports
+        # are dropped, so the start stops at its first closing bound
+        for _ in _polish(cert, np.ones(m)):
+            if cert.upper - cert.f <= fine:
+                break
         if cert.upper - cert.f <= fine:
             return 0
     A = np.hstack([B, np.ones((m, 1))])

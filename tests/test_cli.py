@@ -193,6 +193,14 @@ def test_bench_zero_runs_is_an_error(capsys):
     assert "error: runs must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_approx_runs_below_one_is_an_error(ball_path, runs, capsys):
+    assert main(["approx", ball_path, "--algo", "ball", "--runs", runs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: runs must be at least 1" in captured.err
+
+
 def test_hardness_gen_writes_instance_and_report(tmp_path, capsys):
     target = tmp_path / "reduction.json"
     assert main(["hardness-gen", "--a", "1,1,2", "--out", str(target)]) == 0

@@ -1,7 +1,10 @@
 """Polynomial-time exact ball solver: applicability, tightness, certificates."""
 
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import maxdisp.exact
 from maxdisp import (
@@ -148,6 +151,28 @@ def test_line_cone_with_more_anchors_than_dim(n, lp_raises, monkeypatch):
     assert res.value >= res.relaxation.zeta_star - 1e-9 * max(1.0, res.relaxation.zeta_star)
 
 
+def test_null_space_candidate_is_scipy_svd_bit_for_bit():
+    # the first candidate keeps scipy.linalg.null_space's SVD and rank rule;
+    # where the last anchor lies in the span of the others its sign test sits
+    # at rounding level, and still picks the same sign
+    rng = np.random.default_rng(9)
+    checked = 0
+    for t in range(2000):
+        n = int(rng.integers(1, 11))
+        pts = rng.uniform(-1.0, 1.0, (int(rng.integers(2, n + 4)), n))
+        if t % 2:
+            pts[-1] = pts[:-1].T @ rng.uniform(-1.0, 1.0, len(pts) - 1)
+        head = pts[:-1]
+        _, s, vt = scipy.linalg.svd(head, check_finite=False)
+        rank = int(np.sum(s > np.finfo(float).eps * max(head.shape) * np.amax(s, initial=0.0)))
+        if rank == len(vt):
+            continue
+        want = -vt[rank] if float(pts[-1] @ vt[rank]) > 0.0 else vt[rank]
+        assert next(maxdisp.exact._candidates(pts)).tobytes() == want.tobytes(), t
+        checked += 1
+    assert checked > 1000
+
+
 @pytest.mark.parametrize("p", [(1e-200, 0.0), (1e-300, 1e-300, 0.0)])
 def test_lone_tiny_anchor_gets_a_strict_direction(p):
     # a norm that underflows to 0 must not flip the direction toward the anchor
@@ -156,3 +181,48 @@ def test_lone_tiny_anchor_gets_a_strict_direction(p):
     d = find_sign_direction(inst)
     assert abs(np.linalg.norm(d) - 1.0) < 1e-12
     assert float(p[0] @ d) < 0.0
+
+
+def _tight_cycle():
+    """Criterion 04's first 40 ball shapes (m <= n <= 10), anchors drawn as
+    perfbench's `tight` workload draws them."""
+    shape = np.random.default_rng(40)
+    for k in range(40):
+        n = int(shape.integers(2, 11))
+        m = int(shape.integers(1, n + 1))
+        seq = np.random.SeedSequence([0, 4, k])
+        pts = np.random.default_rng(seq).uniform(-1.0, 1.0, size=(m, n))
+        yield DispersionInstance(n, pts, np.ones(m), Geometry.BALL)
+
+
+def _start_fine(inst):
+    """The relaxation's closing level at its default tol: 1e-12 max(1, U0),
+    with U0 the bound of the piece smallest at the origin."""
+    a = inst.weights * (1.0 + np.einsum("ij,ij->i", inst.points, inst.points))
+    i = int(np.argmin(a))
+    upper = float(a[i] + np.linalg.norm(2.0 * inst.weights[i] * inst.points[i]))
+    return 1e-12 * max(1.0, upper)
+
+
+# the sha256 of every solve_exact and solve_global field over _tight_cycle,
+# captured before the face-point start stopped at its first closing bound;
+# the gap of a ball the start closes (0 Newton steps) is left out
+TIGHT_SHA256 = "b9611d3cb0182a8c4afe40d6f99bf574a7b0be3fb9bee874cc096cf10b999d59"
+
+
+def test_tight_path_digest():
+    h = hashlib.sha256()
+    for inst in _tight_cycle():
+        ex, orc = solve_exact(inst), solve_global(inst, budget=1000)
+        rel = ex.relaxation
+        if rel.iterations == 0:
+            assert 0.0 <= rel.gap <= _start_fine(inst)
+            gap = None
+        else:
+            gap = rel.gap
+        for arr in (ex.x_opt, ex.certificate, rel.x_star, orc.x_best):
+            h.update(arr.tobytes())
+        trace = {k: v for k, v in orc.method_trace.items() if k != "seconds_stationary"}
+        h.update(repr((ex.value, ex.alpha, rel.zeta_star, gap, rel.iterations, rel.converged,
+                       orc.value, sorted(trace.items()), orc.certified_radius)).encode())
+    assert h.hexdigest() == TIGHT_SHA256

@@ -242,6 +242,44 @@ def test_face_point_start_matches_barrier(seed, kind, monkeypatch):
     assert solve_cr_ball(generate_random(10, 9, seed=7)).iterations > 0
 
 
+def test_start_stops_at_its_first_closing_bound(monkeypatch):
+    # the start drops the polish's supports, so once a simplex vector closes
+    # the gap no further NNLS runs: a start whose first multiplier closes it
+    # makes exactly one solve
+    solves, offers = [0], []
+    real_nnls, real_offer = relax.nnls, relax._Certificate.offer_bound
+
+    def counting_nnls(*args):
+        solves[0] += 1
+        return real_nnls(*args)
+
+    def recording_offer(cert, lam):
+        real_offer(cert, lam)
+        offers.append((solves[0], cert.upper, cert.upper - cert.f))
+
+    monkeypatch.setattr(relax, "nnls", counting_nnls)
+    monkeypatch.setattr(relax._Certificate, "offer_bound", recording_offer)
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for k in range(100):
+        kind = ("unit", "weighted", "scaled", "antiparallel", "repeated")[k % 5]
+        n = int(rng.integers(2, 11))
+        inst = _start_family(kind, n, int(rng.integers(2, min(n, 8) + 1)), rng)
+        solves[0] = 0
+        offers.clear()
+        res = solve_cr_ball(inst)
+        assert res.iterations == 0 and res.converged
+        # the singleton offered first is U0; the default tol closes at 1e-12 max(1, U0)
+        fine = 1e-12 * max(1.0, offers[0][1])
+        if offers[0][2] <= fine:  # closed before any solve
+            assert solves[0] == 0
+            continue
+        first_closes = next(gap for count, _, gap in offers if count == 1) <= fine
+        assert (solves[0] == 1) == first_closes, (k, kind, n, solves[0])
+        outcomes.add(first_closes)
+    assert outcomes == {True, False}
+
+
 def test_flat_optimal_face_shares_the_tie_set_rule():
     # with anchors (1, 0) and (-1, 0) every point of the tie line x_1 = 0 in
     # the disc has relaxed value 2: the relaxation keeps the line's
