@@ -78,10 +78,13 @@ def run_benchmark(
 
     All anchor sets are consecutive blocks of a single uniform [-1, 1]
     stream, so growing m_values extends rather than reshuffles the data.
+    An empty m_values, like runs below 1, raises ValueError.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     m_list = [int(m) for m in m_values]
+    if not m_list:
+        raise ValueError("m_values must hold at least one anchor count, got none")
     if any(m < 1 for m in m_list):
         raise ValueError("anchor counts must be positive")
     total = sum(m_list)

@@ -18,8 +18,12 @@ hull comes from Qhull (scipy.spatial.ConvexHull).
 
 On the ball each set gives the two sphere points c +- step of its tie set,
 by the rule (relax._sphere_points) whose c and c - step the relaxation
-scores; on the box each face, its J fixed at signs sigma, gives interior
-points in its free coordinates F, and the 2^n corners are candidates too.
+scores.  That function keeps its last call's geometry (one entry, checked by
+content, read-only, not per instance), so right after the relaxation's
+face-point start on a ball with m <= min(n, 8) the enumeration reuses its
+factorization.  On the box each face, its J fixed at signs sigma, gives
+interior points in its free coordinates F, and the 2^n corners are
+candidates too.
 The ball is the one face with F = all coordinates.  Each face solves the
 interior systems of its sets of exactly |F| + 1 anchors, so only faces with
 |F| < m solve any: none on a ball with m <= n.  Such a system is the set's

@@ -24,6 +24,10 @@ meets the sphere, c - step (_sphere_points, whose c + step the oracle uses
 too).  With m <= min(n, 8) pieces the face points of all sets of pieces come
 first, then the polish's exact solves one at a time, stopping at the first
 simplex vector that closes the gap; the barrier runs only if a gap is left.
+_sphere_points keeps the geometry of its last call, one entry checked by
+content and returned read-only, so the oracle's ball enumeration, which asks
+for the same sets of the same pieces right after, does not factor them
+again.  Nothing is kept per instance.
 
 The optimum also induces a feasible matrix for the semidefinite relaxation of
 the same problem (`lift_ball`, `lift_box`), realizing the equivalence between
@@ -147,7 +151,34 @@ def _multipliers(B, x, act):
             yield lam
 
 
+# the last _sphere_points call, as one tuple (key, acts bytes, result) swapped
+# in one assignment, so concurrent callers can only miss
+_last_sphere = None
+
+
 def _sphere_points(a, B, acts):
+    """_sphere_points_uncached, keeping the geometry of its last call.
+
+    A call whose a, B and acts match the last one in shape, dtype and bytes
+    gets that call's arrays, bit for bit: the oracle's ball enumeration asks
+    for the same tie sets right after the face-point start does.  The shapes
+    and the small a and B are compared first and acts only when they match.
+    There is one entry, replaced by the next call with other inputs, and
+    nothing is kept on an instance.  The returned arrays are read-only.
+    """
+    global _last_sphere
+    key = (a.shape, B.shape, acts.shape, a.dtype, B.dtype, acts.dtype, a.tobytes(), B.tobytes())
+    last = _last_sphere
+    if last is not None and last[0] == key and last[1] == acts.tobytes():
+        return last[2]
+    result = _sphere_points_uncached(a, B, acts)
+    for arr in result:
+        arr.flags.writeable = False
+    _last_sphere = (key, acts.tobytes(), result)
+    return result
+
+
+def _sphere_points_uncached(a, B, acts):
     """The tie-set geometry of each row of acts: where its pieces take one value.
 
     acts is a stack of index rows; a row may repeat its first index, which

@@ -60,3 +60,9 @@ def test_protocol_csv_digest():
 def test_runs_below_one_rejected_up_front(runs):
     with pytest.raises(ValueError, match="runs"):
         run_benchmark(n=2, m_values=(6,), runs=runs)
+
+
+@pytest.mark.parametrize("m_values", [(), [], range(6, 6)])
+def test_empty_anchor_counts_rejected_up_front(m_values):
+    with pytest.raises(ValueError, match="m_values"):
+        run_benchmark(n=2, m_values=m_values, runs=1)

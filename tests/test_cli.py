@@ -193,6 +193,15 @@ def test_bench_zero_runs_is_an_error(capsys):
     assert "error: runs must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("m", ["6..5", ",,"])
+def test_bench_empty_anchor_counts_is_an_error(m, capsys):
+    # the header alone used to be printed, with exit 0
+    assert main(["bench", "--n", "2", "--m", m, "--runs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: m_values must hold at least one anchor count" in captured.err
+
+
 @pytest.mark.parametrize("runs", ["0", "-2"])
 def test_approx_runs_below_one_is_an_error(ball_path, runs, capsys):
     assert main(["approx", ball_path, "--algo", "ball", "--runs", runs]) == 1

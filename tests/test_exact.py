@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import maxdisp.exact
+from maxdisp import relax
 from maxdisp import (
     DispersionInstance,
     Geometry,
@@ -226,3 +227,34 @@ def test_tight_path_digest():
         h.update(repr((ex.value, ex.alpha, rel.zeta_star, gap, rel.iterations, rel.converged,
                        orc.value, sorted(trace.items()), orc.certified_radius)).encode())
     assert h.hexdigest() == TIGHT_SHA256
+
+
+def test_tight_ball_factors_its_tie_sets_once(monkeypatch):
+    # the face-point start and the oracle's ball enumeration ask for the same
+    # tie sets, so the second asks the first's memo; a revisit after another
+    # instance factors again, since nothing is kept on the instance
+    calls, uncached = [0], relax._sphere_points_uncached
+
+    def counting(a, B, acts):
+        calls[0] += 1
+        return uncached(a, B, acts)
+
+    monkeypatch.setattr(relax, "_sphere_points_uncached", counting)
+    monkeypatch.setattr(relax, "_last_sphere", None)
+
+    def factorizations(inst):
+        calls[0] = 0
+        solve_exact(inst)
+        solve_global(inst, budget=1000)
+        return calls[0]
+
+    started = []
+    for inst in _tight_cycle():
+        count = factorizations(inst)
+        if 2 <= len(np.unique(inst.points, axis=0)) <= min(inst.dim, 8):
+            assert count == 1, (inst.dim, inst.m)
+            started.append(inst)
+    assert len(started) >= 30
+    first, other = started[0], started[1]
+    assert factorizations(other) == 1
+    assert factorizations(first) == 1

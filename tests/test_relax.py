@@ -204,6 +204,80 @@ def test_polish_solves_each_support_once(monkeypatch):
     assert solved > 30
 
 
+def _tie_pieces(seed, m=3, n=4):
+    """A ball's pieces a = 1 + ||p||^2, B = 2 p, and every set of its m anchors."""
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (m, n))
+    return 1.0 + np.einsum("ij,ij->i", pts, pts), 2.0 * pts, relax._padded_sets(m, m)[0]
+
+
+def _counting_sphere_points(monkeypatch):
+    """An empty memo, and a list whose length counts the uncached calls."""
+    calls, uncached = [], relax._sphere_points_uncached
+
+    def counting(a, B, acts):
+        calls.append(None)
+        return uncached(a, B, acts)
+
+    monkeypatch.setattr(relax, "_sphere_points_uncached", counting)
+    monkeypatch.setattr(relax, "_last_sphere", None)
+    return calls
+
+
+def _same_bits(got, want):
+    return all(g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want, strict=True))
+
+
+def test_sphere_points_memo_hit_is_a_fresh_call_bit_for_bit(monkeypatch):
+    calls = _counting_sphere_points(monkeypatch)
+    a, B, acts = _tie_pieces(0)
+    first = relax._sphere_points(a, B, acts)
+    # equal content in other arrays is a hit
+    hit = relax._sphere_points(a.copy(), B.copy(), acts.copy())
+    assert len(calls) == 1
+    assert all(h is f for h, f in zip(hit, first))
+    assert _same_bits(hit, relax._sphere_points_uncached(a, B, acts))
+
+
+def test_sphere_points_memo_is_read_only(monkeypatch):
+    _counting_sphere_points(monkeypatch)
+    a, B, acts = _tie_pieces(0)
+    for arr in relax._sphere_points(a, B, acts):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    # the memo's copy is untouched by the attempts
+    assert _same_bits(relax._sphere_points(a, B, acts), relax._sphere_points_uncached(a, B, acts))
+
+
+def _one_ulp_up(a, B, acts):
+    a = a.copy()
+    a[1] = np.nextafter(a[1], np.inf)
+    return a, B, acts
+
+
+def _other_acts_index(a, B, acts):
+    acts = acts.copy()
+    acts[-1, -1] = acts[-1, 0]  # the set {0, 1, 2} becomes {0, 1}, padded
+    return a, B, acts
+
+
+@pytest.mark.parametrize("change", [
+    _one_ulp_up,
+    lambda a, B, acts: (a, B.reshape(B.shape[::-1]), acts),  # same bytes, other shape
+    _other_acts_index,
+    lambda a, B, acts: _tie_pieces(1),  # a second instance
+])
+def test_sphere_points_memo_recomputes_on_any_change(change, monkeypatch):
+    calls = _counting_sphere_points(monkeypatch)
+    a, B, acts = _tie_pieces(0)
+    relax._sphere_points(a, B, acts)
+    args = change(a, B, acts)
+    got = relax._sphere_points(*args)
+    assert len(calls) == 2
+    assert _same_bits(got, relax._sphere_points_uncached(*args))
+
+
 def _start_family(kind, n, m, rng):
     """An m <= n ball of one of five kinds: unit weights, U(0.3, 3) weights,
     anchors scaled by 10^U(-4, 2), an antiparallel pair, repeated anchors."""
