@@ -16,14 +16,7 @@ a draw is accepted with probability at least 1 - rho.
 * approx_box_simplified is that sign sampler at unit scale: on the box the
   lift's diagonal is constant and cancels, so no relaxation is solved.
 
-Each sampler's test is prepared once and kept on the instance.  The
-anchors' norms and nonzero rows (transposed) are built once per instance;
-the sphere sampler, the box sampler and bound_refined read them.  For the
-general sampler, the lift's scale, the anchor images' rows and norms,
-sqrt(lift[n, n]) and sqrt(gamma1(lift)) are kept for the last lift seen and
-prepared again whenever a lift differs from it in shape or content.  The
-sphere sampler keeps its alpha, bound_r and bound_refined for the last rho
-seen.  A call then only draws, tests and scores the accepted point.
+Each sampler's prepared test is kept between calls by instance._kept.
 
 Every sampler consumes an explicit numpy Generator in fixed-size batches, so
 an equally seeded generator reproduces the draws exactly, and a second call
@@ -41,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DispersionInstance, Geometry, _value
+from .instance import DispersionInstance, Geometry, _kept, _value
 from .relax import (
     RelaxationResult,
     gamma1,
@@ -115,57 +108,44 @@ def _check_budget(budget) -> int:
 
 
 def _prepare(directions):
-    """(norms of every row, D, norms of D's columns) for the rejection test,
-    where D holds the nonzero rows of `directions`, transposed: a zero row
-    could never satisfy the strict inequality, so it is exempt."""
+    """(D, norms of D's columns) for the rejection test, where D holds the
+    nonzero rows of `directions`, transposed: a zero row could never satisfy
+    the strict inequality, so it is exempt."""
     norms = np.linalg.norm(directions, axis=1)
     active = norms > 0.0
-    return norms, directions[active].T, norms[active]
+    return directions[active].T, norms[active]
 
 
-def _anchor_test(inst):
-    """_test of the anchors, built on the first call and kept in the instance's
-    __dict__, as functools.cached_property does: its arrays are read-only."""
-    test = inst.__dict__.get("_anchor_test")
-    if test is None:
-        test = inst.__dict__["_anchor_test"] = _prepare(inst.points)
-    return test
+def _ball_test(inst, rho):
+    """(alpha, bound_r, refined bound, D, norms) of approx_ball at rho."""
+    n, ratio = inst.dim, rho / inst.m
+    alpha = tail_s_inverse(n, ratio) if ratio < 0.5 else 0.0
+    D, norms = _prepare(inst.points)
+    return alpha, 0.5 * (1.0 - alpha / math.sqrt(n)), bound_refined(inst, rho), D, norms
 
 
 def _lift_test(inst, lift):
     """(scale, D, norms, sqrt(lift[n, n]), sqrt(gamma1(lift))) for the sign
     sampler driven by `lift`, where D and norms test the anchor images
-    p_i * scale.  The instance keeps one entry, for the last lift prepared: a
-    lift that differs from it in dtype, shape or content, including one
-    overwritten in place, is prepared and validated afresh."""
-    key = (lift.dtype.str, lift.shape, lift.tobytes())
-    entry = inst.__dict__.get("_lift_test")
-    if entry is None or entry[0] != key:
-        n = inst.dim
-        root_g1 = math.sqrt(gamma1(lift))
-        scale = np.sqrt(np.maximum(np.diag(lift)[:n], 0.0))
-        _, D, norms = _prepare(inst.points * scale[None, :])
-        entry = (key, (scale, D, norms, math.sqrt(float(lift[n, n])), root_g1))
-        inst.__dict__["_lift_test"] = entry
-    return entry[1]
-
-
-def _ball_constants(inst, rho):
-    """(alpha, bound_r, refined bound) of approx_ball, kept for the last rho seen."""
-    entry = inst.__dict__.get("_ball_constants")
-    if entry is None or entry[0] != rho:
-        n, ratio = inst.dim, rho / inst.m
-        alpha = tail_s_inverse(n, ratio) if ratio < 0.5 else 0.0
-        entry = (rho, (alpha, 0.5 * (1.0 - alpha / math.sqrt(n)), bound_refined(inst, rho)))
-        inst.__dict__["_ball_constants"] = entry
-    return entry[1]
+    p_i * scale; a malformed lift, input from outside, is refused first."""
+    n = inst.dim
+    if lift.shape != (n + 1, n + 1):
+        raise ValueError(f"lift has shape {lift.shape}, expected ({n + 1}, {n + 1}) at n = {n}")
+    if not np.isfinite(lift).all():
+        raise ValueError("lift has an entry that is not finite")
+    if not lift[n, n] > 0.0:
+        raise ValueError(f"lift[{n}, {n}] must be positive, got {lift[n, n]}")
+    root_g1 = math.sqrt(gamma1(lift))
+    scale = np.sqrt(np.maximum(np.diag(lift)[:n], 0.0))
+    D, norms = _prepare(inst.points * scale[None, :])
+    return scale, D, norms, math.sqrt(float(lift[n, n])), root_g1
 
 
 def _rejection(draw, rows, D, norms, alpha, budget, stretch=1.0):
     """First candidate z of the batches with stretch * (z . d_j) < alpha * norms_j
     for every column d_j of D -> (z, raw draws, accepted index).
 
-    D and norms come from _test.  Each batch is drawn whole, draw(k), and
+    D and norms come from _prepare.  Each batch is drawn whole, draw(k), and
     tested slice by slice: rows(part) turns a slice of it into candidates,
     rows [0, _FIRST_ROWS) first and the rest only if none of those passes.  A
     batch of at most _FIRST_ROWS + 1 is one slice, so no slice of a longer
@@ -228,8 +208,7 @@ def approx_ball(
     if n < 2:
         raise ValueError("approx_ball requires dimension n >= 2")
     rho, budget = _check_rho(rho), _check_budget(budget)
-    alpha, bound_r, refined = _ball_constants(inst, rho)
-    _, D, norms = _anchor_test(inst)
+    alpha, bound_r, refined, D, norms = _kept("approx_ball", (inst, rho), _ball_test, inst, rho)
     x, raw, at = _rejection(
         lambda k: rng.standard_normal((k, n)), _unit_rows, D, norms, alpha, budget,
         stretch=math.sqrt(n),
@@ -258,7 +237,9 @@ def approx_general_fixed(
         if relaxation is None:
             relaxation = solve_cr_ball(inst) if ball else solve_cr_box(inst)
         lift = lift_ball(relaxation, inst) if ball else lift_box(relaxation, inst)
-    scale, D, norms, root_t, root_g1 = _lift_test(inst, lift)
+    scale, D, norms, root_t, root_g1 = _kept(
+        "approx_general", (inst, lift.dtype.str, lift.shape, lift.tobytes()),
+        _lift_test, inst, lift)
     alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, D, norms)
     return _result(inst, scale * xi / root_t, raw, at, alpha, 0.5 * (1.0 - alpha * root_g1))
 
@@ -278,7 +259,8 @@ def approx_box_simplified(
     if inst.geometry is not Geometry.BOX:
         raise ValueError("approx_box_simplified requires a box-geometry instance")
     rho, budget = _check_rho(rho), _check_budget(budget)
-    alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, *_anchor_test(inst)[1:])
+    D, norms = _kept("approx_box", (inst,), _prepare, inst.points)
+    alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, D, norms)
     return _result(inst, xi, raw, at, alpha, 0.5 * (1.0 - alpha / math.sqrt(inst.dim)))
 
 
@@ -295,7 +277,7 @@ def bound_refined(inst: DispersionInstance, rho: float) -> float:
     """
     rho = _check_rho(rho)
     n, m = inst.dim, inst.m
-    d = float(_anchor_test(inst)[0].min())
+    d = float(np.linalg.norm(inst.points, axis=1).min())
     nu = d + 1.0 / d if d > 1.0 else 2.0
     spread = math.sqrt((20.0 / (9.0 * n)) * math.log(m / rho))
     return nu / (2.0 + nu) - (2.0 / (2.0 + nu)) * spread

@@ -42,6 +42,9 @@ _ZERO_THRESHOLD = 1e-9
 # required slack for the returned unit direction: p_i . d <= _SLACK_TOL
 _SLACK_TOL = 1e-10
 _EPS = np.finfo(float).eps
+# |p . d| up to this share of ||p||_1 is a tie: uniform anchors in the span of
+# the others left at most 3.3e-16, and any other anchor at least 3.9e-5
+_TIE_TOL = 1e-12
 
 
 class NotApplicableError(RuntimeError):
@@ -66,6 +69,15 @@ class ExactResult:
     relaxation: RelaxationResult
 
 
+def _away_from(p, d):
+    """d or -d, whichever makes p . d <= 0; on a tie, rounding noise whose sign
+    follows d's memory layout, the one whose largest component is negative."""
+    t = float(p @ d)
+    if abs(t) <= _TIE_TOL * float(np.abs(p).sum()):
+        t = float(d[np.abs(d).argmax()])
+    return -d if t > 0.0 else d
+
+
 def _candidates(points):
     """Sign-direction candidates, cheapest first, as the module docstring says:
     a null(P[:-1]) vector turned away from the last anchor, then the LP's."""
@@ -75,11 +87,7 @@ def _candidates(points):
     _, s, vt = np.linalg.svd(head)
     rank = int((s > _EPS * max(head.shape) * s.max(initial=0.0)).sum())
     if rank < len(vt):
-        # scipy.linalg.svd's layout (Fortran order): the sign test's dot product
-        # rounds by the row's stride, and it decides the sign wherever the last
-        # anchor lies in the span of the others
-        d = np.asfortranarray(vt)[rank]
-        yield -d if float(points[-1] @ d) > 0.0 else d
+        yield _away_from(points[-1], vt[rank])
     res = linprog(points.sum(axis=0), A_ub=points, b_ub=np.zeros(len(points)),
                   bounds=[(-1.0, 1.0)] * points.shape[1], method="highs")
     if res.success:

@@ -8,7 +8,7 @@ objective
 
 is the minimum weighted squared distance from x to the anchors; every solver
 in this package maximizes f over the feasible region.  Instances are
-immutable, and all functions here are pure.
+immutable, and the public functions here are pure.
 """
 
 from __future__ import annotations
@@ -62,8 +62,11 @@ class DispersionInstance:
     def __post_init__(self):
         try:
             dim = int(self.dim)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceError(f"dim must be an integer, got {self.dim!r}") from exc
+        # int() would truncate 2.7, parse "3" and read True as 1
+        if isinstance(self.dim, (bool, np.bool_)) or dim != self.dim:
+            raise InstanceError(f"dim must be an integer, got {self.dim!r}")
         if dim < 1:
             raise InstanceError(f"dim must be >= 1, got {dim}")
         pts = np.array(self.points, dtype=float)
@@ -116,6 +119,32 @@ class DispersionInstance:
             and np.array_equal(self.points, other.points)
             and np.array_equal(self.weights, other.weights)
         )
+
+
+# name -> (key, value), one entry per name: see _kept
+_KEPT = {}
+
+
+def _kept(name, key, build, *args):
+    """build(*args), or the value kept under name when key equals its key.
+
+    The one rule for values reused between calls: each name keeps one entry,
+    for the last key built, replaced in one assignment, so concurrent callers
+    can only miss; callers run their calls on one instance back to back.
+    Keys are tuples, whose == takes an item identical to its counterpart as
+    equal: an instance in a key matches itself by identity (and an equal one
+    by __eq__).  Nothing is stored on an instance.  Every array in a kept
+    value is made read-only.
+    """
+    entry = _KEPT.get(name)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    value = build(*args)
+    for item in value:
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+    _KEPT[name] = (key, value)
+    return value
 
 
 def _project(x: np.ndarray, ball: bool) -> np.ndarray:

@@ -18,12 +18,9 @@ hull comes from Qhull (scipy.spatial.ConvexHull).
 
 On the ball each set gives the two sphere points c +- step of its tie set,
 by the rule (relax._sphere_points) whose c and c - step the relaxation
-scores.  That function keeps its last call's geometry (one entry, checked by
-content, read-only, not per instance), so right after the relaxation's
-face-point start on a ball with m <= min(n, 8) the enumeration reuses its
-factorization.  On the box each face, its J fixed at signs sigma, gives
-interior points in its free coordinates F, and the 2^n corners are
-candidates too.
+scores; that geometry is kept between calls by instance._kept.  On the box
+each face, its J fixed at signs sigma, gives interior points in its free
+coordinates F, and the 2^n corners are candidates too.
 The ball is the one face with F = all coordinates.  Each face solves the
 interior systems of its sets of exactly |F| + 1 anchors, so only faces with
 |F| < m solve any: none on a ball with m <= n.  Such a system is the set's
@@ -51,7 +48,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .instance import DispersionInstance, Geometry, _value, evaluate_batch
-from .relax import _distinct_rows, _padded_sets, _sphere_points
+from .relax import _TABLES, _distinct_rows, _padded_sets, _sphere_points
 
 __all__ = ["OracleResult", "solve_global"]
 
@@ -73,7 +70,7 @@ class OracleResult:
     certified_radius: str
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def _combos(c, k):
     """Every k-subset of range(c) as the rows of one index array, in combinations order."""
     return np.array(list(combinations(range(c), k)), dtype=np.intp)
@@ -99,8 +96,10 @@ def _active_sets(inst):
     The q_i are first reduced to their affine hull.  Every subset is kept when
     they form a simplex (always when m <= n + 2), when the last axis leaves
     their span (then no facet is "lower": anchors of one norm and one weight),
-    and when Qhull fails.  Qhull triangulates a facet with more than rank
-    vertices; the pieces share their equation, which merges them back.
+    and when Qhull fails; only the first of these tables is cached, as the
+    others are one-off and reach tens of MB.  Qhull triangulates a facet with
+    more than rank vertices; the pieces share their equation, which merges
+    them back.
     """
     m, n = inst.m, inst.dim
     K = min(m, n + 1)
@@ -113,11 +112,11 @@ def _active_sets(inst):
     # rank < 2 leaves the last axis out too: q_i that differ only there would
     # have equal w_i and p_i, hence equal q_i
     if m <= rank + 1 or rank < 2 or np.linalg.norm(vt[rank:, -1]) > 1e-9:
-        return _padded_sets(m, K)
+        return _padded_sets.__wrapped__(m, K)
     try:
         hull = ConvexHull((q - q[0]) @ vt[:rank].T)
     except QhullError:
-        return _padded_sets(m, K)
+        return _padded_sets.__wrapped__(m, K)
     # vertical facets (last normal component 0 up to rounding) are kept too
     lower = hull.equations[:, :rank] @ vt[:rank, -1] < 1e-9
     facets = {}

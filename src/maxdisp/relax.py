@@ -24,10 +24,7 @@ meets the sphere, c - step (_sphere_points, whose c + step the oracle uses
 too).  With m <= min(n, 8) pieces the face points of all sets of pieces come
 first, then the polish's exact solves one at a time, stopping at the first
 simplex vector that closes the gap; the barrier runs only if a gap is left.
-_sphere_points keeps the geometry of its last call, one entry checked by
-content and returned read-only, so the oracle's ball enumeration, which asks
-for the same sets of the same pieces right after, does not factor them
-again.  Nothing is kept per instance.
+The tie-set geometry is kept between calls by instance._kept.
 
 The optimum also induces a feasible matrix for the semidefinite relaxation of
 the same problem (`lift_ball`, `lift_box`), realizing the equivalence between
@@ -44,7 +41,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from .instance import DispersionInstance, Geometry, _project, _unit
+from .instance import DispersionInstance, Geometry, _kept, _project, _unit
 
 __all__ = [
     "RelaxationResult",
@@ -61,6 +58,8 @@ _TAU_GROWTH = 8.0
 # largest m (<= n) starting from all 2^m - 1 face points; ms per solve, n = 10, 2 vCPUs,
 # start vs barrier: m = 7 1.3 vs 2.0, 8 1.6 vs 2.3, 9 3.9 vs 2.9, 10 8.6 vs 3.0
 _START_MAX = 8
+# tables kept by _padded_sets (`tight` asks for m <= 10) and oracle._combos
+_TABLES = 16
 
 
 class NonPositiveValueError(RuntimeError):
@@ -151,31 +150,13 @@ def _multipliers(B, x, act):
             yield lam
 
 
-# the last _sphere_points call, as one tuple (key, acts bytes, result) swapped
-# in one assignment, so concurrent callers can only miss
-_last_sphere = None
-
-
 def _sphere_points(a, B, acts):
-    """_sphere_points_uncached, keeping the geometry of its last call.
-
-    A call whose a, B and acts match the last one in shape, dtype and bytes
-    gets that call's arrays, bit for bit: the oracle's ball enumeration asks
-    for the same tie sets right after the face-point start does.  The shapes
-    and the small a and B are compared first and acts only when they match.
-    There is one entry, replaced by the next call with other inputs, and
-    nothing is kept on an instance.  The returned arrays are read-only.
-    """
-    global _last_sphere
-    key = (a.shape, B.shape, acts.shape, a.dtype, B.dtype, acts.dtype, a.tobytes(), B.tobytes())
-    last = _last_sphere
-    if last is not None and last[0] == key and last[1] == acts.tobytes():
-        return last[2]
-    result = _sphere_points_uncached(a, B, acts)
-    for arr in result:
-        arr.flags.writeable = False
-    _last_sphere = (key, acts.tobytes(), result)
-    return result
+    """_sphere_points_uncached, kept by instance._kept under the shapes, dtypes
+    and bytes of a, B and acts: the oracle's ball enumeration asks for the
+    same tie sets of the same pieces right after the face-point start."""
+    key = (a.shape, B.shape, acts.shape, a.dtype, B.dtype, acts.dtype,
+           a.tobytes(), B.tobytes(), acts.tobytes())
+    return _kept("sphere_points", key, _sphere_points_uncached, a, B, acts)
 
 
 def _sphere_points_uncached(a, B, acts):
@@ -227,7 +208,7 @@ def _pad(sets, k):
     return np.array([A + A[:1] * (k - len(A)) for A in sets], dtype=np.intp)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def _padded_sets(m, k):
     """Read-only arrays over every subset of at most k of m indices, by size,
     then in combinations order: the subsets padded to k entries (_pad), and

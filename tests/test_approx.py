@@ -332,6 +332,34 @@ def test_prepared_tests_match_fresh_instances(geom):
         approx_general_fixed(inst, 0.5, np.random.default_rng(7), lift=lift.reshape(1, -1))
 
 
+def _with(lift, index, value):
+    lift = lift.copy()
+    lift[index] = value
+    return lift
+
+
+@pytest.mark.parametrize("geom", [Geometry.BALL, Geometry.BOX])
+@pytest.mark.parametrize("spoil, match", [
+    pytest.param(lambda lift: _with(lift, (0, 0), np.nan), "not finite", id="nan-diagonal"),
+    pytest.param(lambda lift: _with(lift, (4, 4), np.inf), "not finite", id="inf-corner"),
+    pytest.param(lambda lift: _with(lift, (4, 4), -1.0), r"lift\[4, 4\] must be positive",
+                 id="negative-corner"),
+    pytest.param(lambda lift: np.eye(6), r"shape \(6, 6\), expected \(5, 5\) at n = 4",
+                 id="too-large"),
+])
+def test_malformed_lift_raises_before_any_draw(geom, spoil, match):
+    ball = geom is Geometry.BALL
+    inst = generate_random(4, 6, seed=8, geometry=geom)
+    bad = spoil((lift_ball if ball else lift_box)(
+        (solve_cr_ball if ball else solve_cr_box)(inst), inst))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for _ in range(2):  # a refused lift is not kept
+        with pytest.raises(ValueError, match=match):
+            approx_general_fixed(inst, 0.5, rng, lift=bad)
+    assert rng.bit_generator.state == state
+
+
 # the sha256 of every result field over _mix_digest's calls, captured before
 # approx_ball kept its per-rho constants and _result stopped calling evaluate
 SAMPLER_MIX_SHA256 = "c6ec2b9b31c102e48ddf35c69eb9d5711a1c6cfe37d6da3f363eac6c5c649c55"

@@ -66,3 +66,9 @@ def test_runs_below_one_rejected_up_front(runs):
 def test_empty_anchor_counts_rejected_up_front(m_values):
     with pytest.raises(ValueError, match="m_values"):
         run_benchmark(n=2, m_values=m_values, runs=1)
+
+
+@pytest.mark.parametrize("m_values", [(6, 0), (-1,), range(-2, 3)])
+def test_nonpositive_anchor_count_rejected_up_front(m_values):
+    with pytest.raises(ValueError, match="anchor counts must be positive"):
+        run_benchmark(n=2, m_values=m_values, runs=1)

@@ -6,7 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from maxdisp import DispersionInstance, Geometry, generate_random, oracle, write_instance
+from maxdisp import (
+    DispersionInstance,
+    Geometry,
+    approx_general_fixed,
+    generate_random,
+    lift_ball,
+    lift_box,
+    oracle,
+    solve_cr_ball,
+    solve_cr_box,
+    write_instance,
+)
 from maxdisp.cli import main
 
 
@@ -138,6 +149,28 @@ def test_approx_csv_shape_and_determinism(ball_path, capsys):
         assert float(fields[1]) > 0
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("geometry", [Geometry.BALL, Geometry.BOX])
+def test_approx_general_rows_are_the_library_sampler(geometry, tmp_path, capsys):
+    # the CLI solves the relaxation and builds the lift once, then runs the
+    # sampler with them on one seeded generator per run
+    inst = generate_random(4, 6, seed=3, geometry=geometry)
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    argv = ["approx", str(path), "--algo", "general", "--rho", "0.5", "--runs", "3",
+            "--seed", "5"]
+    assert main(argv) == 0
+    ball = geometry is Geometry.BALL
+    rel = (solve_cr_ball if ball else solve_cr_box)(inst)
+    lift = (lift_ball if ball else lift_box)(rel, inst)
+    rows = ["run,value,accepted_at,raw_samples,bound_factor"]
+    for k in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence([5, k]))
+        res = approx_general_fixed(inst, 0.5, rng, lift=lift, relaxation=rel)
+        rows.append(f"{k},{res.f_value:.12g},{res.accepted_at},{res.raw_samples},"
+                    f"{res.bound_r:.12g}")
+    assert capsys.readouterr().out.splitlines() == rows
 
 
 def test_approx_algo_geometry_mismatch(ball_path, capsys):

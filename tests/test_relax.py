@@ -219,7 +219,7 @@ def _counting_sphere_points(monkeypatch):
         return uncached(a, B, acts)
 
     monkeypatch.setattr(relax, "_sphere_points_uncached", counting)
-    monkeypatch.setattr(relax, "_last_sphere", None)
+    monkeypatch.setattr("maxdisp.instance._KEPT", {})
     return calls
 
 
