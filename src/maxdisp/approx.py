@@ -208,7 +208,7 @@ def approx_ball(
     if n < 2:
         raise ValueError("approx_ball requires dimension n >= 2")
     rho, budget = _check_rho(rho), _check_budget(budget)
-    alpha, bound_r, refined, D, norms = _kept("approx_ball", (inst, rho), _ball_test, inst, rho)
+    alpha, bound_r, refined, D, norms = _kept("approx_ball", inst, rho, _ball_test, inst, rho)
     x, raw, at = _rejection(
         lambda k: rng.standard_normal((k, n)), _unit_rows, D, norms, alpha, budget,
         stretch=math.sqrt(n),
@@ -227,9 +227,9 @@ def approx_general_fixed(
     """Sign-vector sampler driven by a lifted relaxation diagonal (ball or box).
 
     Precomputed `relaxation` and `lift` results may be passed to amortize the
-    solve across repeated runs; they must belong to this instance.  bound_r
-    is (1 - alpha sqrt(g1))/2 where g1 is the lift's diagonal concentration,
-    which can be negative, in which case the guarantee is vacuous.
+    solve across repeated runs; they must belong to this instance, and a
+    malformed lift raises ValueError.  bound_r is (1 - alpha sqrt(g1))/2 for
+    the lift's diagonal concentration g1; if negative, it guarantees nothing.
     """
     rho, budget = _check_rho(rho), _check_budget(budget)
     ball = inst.geometry is Geometry.BALL
@@ -237,9 +237,12 @@ def approx_general_fixed(
         if relaxation is None:
             relaxation = solve_cr_ball(inst) if ball else solve_cr_box(inst)
         lift = lift_ball(relaxation, inst) if ball else lift_box(relaxation, inst)
+    try:
+        lift = np.asarray(lift, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"lift is not an array of numbers: {exc}") from None
     scale, D, norms, root_t, root_g1 = _kept(
-        "approx_general", (inst, lift.dtype.str, lift.shape, lift.tobytes()),
-        _lift_test, inst, lift)
+        "approx_general", inst, (lift.shape, lift.tobytes()), _lift_test, inst, lift)
     alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, D, norms)
     return _result(inst, scale * xi / root_t, raw, at, alpha, 0.5 * (1.0 - alpha * root_g1))
 
@@ -259,7 +262,7 @@ def approx_box_simplified(
     if inst.geometry is not Geometry.BOX:
         raise ValueError("approx_box_simplified requires a box-geometry instance")
     rho, budget = _check_rho(rho), _check_budget(budget)
-    D, norms = _kept("approx_box", (inst,), _prepare, inst.points)
+    D, norms = _kept("approx_box", inst, None, _prepare, inst.points)
     alpha, xi, raw, at = _sign_rejection(inst, rho, rng, budget, D, norms)
     return _result(inst, xi, raw, at, alpha, 0.5 * (1.0 - alpha / math.sqrt(inst.dim)))
 

@@ -12,10 +12,10 @@ is the nonnegative root of ||x* + alpha d||^2 = 1.
 Finding such a direction is itself polynomial.  Two candidates are tried,
 cheapest first, and each must pass one check: normalized to unit length, it
 satisfies every inequality within 1e-10.  The first is a vector orthogonal to
-the first m - 1 anchors, flipped against the last one; it exists whenever
-those anchors do not span R^n, so always when m <= n.  The second is the
-solution of one linear program that minimizes (sum_i p_i) . x over the cone
-{p_i . x <= 0 for all i} intersected with ||x||_inf <= 1; its optimum is
+the first m - 1 anchors, turned away from the last one (both ways on a tie);
+it exists when they do not span R^n, so always when m <= n.  The second is
+the solution of one linear program that minimizes (sum_i p_i) . x over the
+cone {p_i . x <= 0 for all i} intersected with ||x||_inf <= 1; its optimum is
 negative unless the cone lies in null(P), which the first candidate covers.
 If neither passes, the cone is trivial and this solver does not apply.
 """
@@ -70,12 +70,12 @@ class ExactResult:
 
 
 def _away_from(p, d):
-    """d or -d, whichever makes p . d <= 0; on a tie, rounding noise whose sign
-    follows d's memory layout, the one whose largest component is negative."""
+    """(d,) or (-d,), whichever makes p . d <= 0; on a tie, rounding noise that
+    follows d's layout, both, the one whose largest component is negative first."""
     t = float(p @ d)
-    if abs(t) <= _TIE_TOL * float(np.abs(p).sum()):
-        t = float(d[np.abs(d).argmax()])
-    return -d if t > 0.0 else d
+    if abs(t) > _TIE_TOL * float(np.abs(p).sum()):
+        return (-d,) if t > 0.0 else (d,)
+    return (-d, d) if d[np.abs(d).argmax()] > 0.0 else (d, -d)
 
 
 def _candidates(points):
@@ -87,7 +87,7 @@ def _candidates(points):
     _, s, vt = np.linalg.svd(head)
     rank = int((s > _EPS * max(head.shape) * s.max(initial=0.0)).sum())
     if rank < len(vt):
-        yield _away_from(points[-1], vt[rank])
+        yield from _away_from(points[-1], vt[rank])
     res = linprog(points.sum(axis=0), A_ub=points, b_ub=np.zeros(len(points)),
                   bounds=[(-1.0, 1.0)] * points.shape[1], method="highs")
     if res.success:

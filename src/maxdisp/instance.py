@@ -121,29 +121,27 @@ class DispersionInstance:
         )
 
 
-# name -> (key, value), one entry per name: see _kept
-_KEPT = {}
+_KEPT = {}  # name -> (inst, key, value): see _kept
 
 
-def _kept(name, key, build, *args):
-    """build(*args), or the value kept under name when key equals its key.
+def _kept(name, inst, key, build, *args):
+    """build(*args), or the value kept under name for this inst and key.
 
     The one rule for values reused between calls: each name keeps one entry,
-    for the last key built, replaced in one assignment, so concurrent callers
-    can only miss; callers run their calls on one instance back to back.
-    Keys are tuples, whose == takes an item identical to its counterpart as
-    equal: an instance in a key matches itself by identity (and an equal one
-    by __eq__).  Nothing is stored on an instance.  Every array in a kept
-    value is made read-only.
+    for the last inst and key built, replaced in one assignment, so concurrent
+    callers can only miss; callers run their calls on one instance back to
+    back.  inst (an instance, or None) matches by identity, an equal one
+    builds afresh, and key by ==.  Nothing is stored on an instance.  Every
+    array in a kept value is made read-only.
     """
     entry = _KEPT.get(name)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    if entry is not None and entry[0] is inst and entry[1] == key:
+        return entry[2]
     value = build(*args)
     for item in value:
         if isinstance(item, np.ndarray):
             item.flags.writeable = False
-    _KEPT[name] = (key, value)
+    _KEPT[name] = (inst, key, value)
     return value
 
 

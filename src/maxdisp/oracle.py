@@ -96,10 +96,10 @@ def _active_sets(inst):
     The q_i are first reduced to their affine hull.  Every subset is kept when
     they form a simplex (always when m <= n + 2), when the last axis leaves
     their span (then no facet is "lower": anchors of one norm and one weight),
-    and when Qhull fails; only the first of these tables is cached, as the
-    others are one-off and reach tens of MB.  Qhull triangulates a facet with
-    more than rank vertices; the pieces share their equation, which merges
-    them back.
+    and when Qhull fails; only the m <= n + 2 table is cached, every fallback
+    below it is built uncached, one-off and up to tens of MB.  Qhull
+    triangulates a facet with more than rank vertices; the pieces share their
+    equation, which merges them back.
     """
     m, n = inst.m, inst.dim
     K = min(m, n + 1)

@@ -151,12 +151,11 @@ def _multipliers(B, x, act):
 
 
 def _sphere_points(a, B, acts):
-    """_sphere_points_uncached, kept by instance._kept under the shapes, dtypes
-    and bytes of a, B and acts: the oracle's ball enumeration asks for the
-    same tie sets of the same pieces right after the face-point start."""
+    """_sphere_points_uncached kept by instance._kept under the shapes, dtypes and
+    bytes of a, B and acts: the oracle repeats the face-point start's call right after it."""
     key = (a.shape, B.shape, acts.shape, a.dtype, B.dtype, acts.dtype,
            a.tobytes(), B.tobytes(), acts.tobytes())
-    return _kept("sphere_points", key, _sphere_points_uncached, a, B, acts)
+    return _kept("sphere_points", None, key, _sphere_points_uncached, a, B, acts)
 
 
 def _sphere_points_uncached(a, B, acts):

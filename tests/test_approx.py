@@ -313,9 +313,11 @@ def test_prepared_tests_match_fresh_instances(geom):
     calls = [lambda t, g: _outcome(own(t, 0.5, g))] + [
         lambda t, g, L=L: general(t, L, g) for L in (lift, other, lift, other, other)]
     for seed in range(3):
+        # the kept calls run back to back: a fresh call between them would
+        # replace the one kept entry
         kept, new = np.random.default_rng(seed), np.random.default_rng(seed)
-        for call in calls * 2:
-            assert call(inst, kept) == call(fresh(), new), seed
+        got = [call(inst, kept) for call in calls * 2]
+        assert got == [call(fresh(), new) for call in calls * 2], seed
     # the lifts lead to different results, so a stale test would show
     assert general(inst, lift, np.random.default_rng(7)) != general(
         inst, other, np.random.default_rng(7))
@@ -332,6 +334,20 @@ def test_prepared_tests_match_fresh_instances(geom):
         approx_general_fixed(inst, 0.5, np.random.default_rng(7), lift=lift.reshape(1, -1))
 
 
+def test_kept_test_matches_its_instance_by_identity(monkeypatch):
+    # an equal but distinct instance prepares its own test, so a fresh equal
+    # instance never reads the entry a kept call built
+    calls, real = [], maxdisp.approx._prepare
+    monkeypatch.setattr(maxdisp.approx, "_prepare", lambda d: calls.append(None) or real(d))
+    monkeypatch.setattr("maxdisp.instance._KEPT", {})
+    inst = generate_random(4, 6, seed=8, geometry=Geometry.BOX)
+    twin = DispersionInstance(inst.dim, inst.points, inst.weights, inst.geometry)
+    assert twin == inst
+    for target, builds in ((inst, 1), (inst, 1), (twin, 2), (twin, 2), (inst, 3)):
+        approx_box_simplified(target, 0.5, np.random.default_rng(0))
+        assert len(calls) == builds
+
+
 def _with(lift, index, value):
     lift = lift.copy()
     lift[index] = value
@@ -346,6 +362,11 @@ def _with(lift, index, value):
                  id="negative-corner"),
     pytest.param(lambda lift: np.eye(6), r"shape \(6, 6\), expected \(5, 5\) at n = 4",
                  id="too-large"),
+    pytest.param(lambda lift: _with(lift, (1, 1), np.nan).tolist(), "not finite",
+                 id="nested-list"),
+    pytest.param(lambda lift: [[1.0, 2.0], [3.0]], "not an array of numbers", id="ragged-list"),
+    pytest.param(lambda lift: _with(lift.astype(object), (0, 0), object()),
+                 "not an array of numbers", id="object-dtype"),
 ])
 def test_malformed_lift_raises_before_any_draw(geom, spoil, match):
     ball = geom is Geometry.BALL
@@ -400,11 +421,12 @@ def test_kept_ball_constants_match_fresh_instances():
         m, n = pts.shape
         inst = DispersionInstance(n, pts, np.ones(m), Geometry.BALL)
         kept, new = np.random.default_rng(3), np.random.default_rng(3)
-        for rho in rhos * 2:
-            got = approx_ball(inst, rho, kept)
-            assert _outcome(got) == _outcome(
+        # the kept calls run back to back, as in the test above
+        got = [approx_ball(inst, rho, kept) for rho in rhos * 2]
+        for res, rho in zip(got, rhos * 2):
+            assert _outcome(res) == _outcome(
                 approx_ball(DispersionInstance(n, pts, np.ones(m), Geometry.BALL), rho, new))
-            assert (got.alpha_used == 0.0) == (rho / m >= 0.5)
+            assert (res.alpha_used == 0.0) == (rho / m >= 0.5)
 
 
 def test_f_value_is_evaluate_bit_for_bit(monkeypatch):

@@ -180,13 +180,31 @@ def test_null_space_candidate_is_scipy_svd_bit_for_bit():
             checked += 1
         else:
             noisy += (product > 0.0) != (float(pts[-1] @ c_row) > 0.0)
-            by_layout = [maxdisp.exact._away_from(pts[-1], r) for r in (row, c_row)]
+            by_layout = [maxdisp.exact._away_from(pts[-1], r)[0] for r in (row, c_row)]
             assert got.tobytes() == by_layout[0].tobytes() == by_layout[1].tobytes(), t
             assert got[np.abs(got).argmax()] < 0.0, t
             ties += 1
     assert checked > 400 and ties > 400
     # the plain sign test would have followed the layout on some of the ties
     assert noisy > 0
+
+
+@pytest.mark.parametrize("last", [5e-10, -5e-10])
+def test_tie_on_a_large_anchor_tries_both_orientations(monkeypatch, last):
+    # at ||p||_1 = 1000 a product of 5e-10 is inside the tie band (1e-9) but
+    # outside the 1e-10 slack: the null-space direction is still returned in
+    # the orientation that passes, whichever the tie-break tries first
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1000.0, 0.0, last]])
+    inst = DispersionInstance(dim=3, points=pts, weights=np.ones(3), geometry=Geometry.BALL)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called although the null space holds the cone")
+
+    monkeypatch.setattr(maxdisp.exact, "linprog", no_lp)
+    d = find_sign_direction(inst)
+    assert d.tolist() == [0.0, 0.0, -np.sign(last)]
+    assert float(pts[-1] @ d) == -abs(last)
+    assert solve_exact(inst).certificate.tolist() == d.tolist()
 
 
 @pytest.mark.parametrize("p", [(1e-200, 0.0), (1e-300, 1e-300, 0.0)])

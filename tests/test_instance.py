@@ -282,7 +282,7 @@ def test_solvers_leave_no_state_on_an_instance(monkeypatch):
     for name, inst in insts.items():
         assert set(vars(inst)) == {"dim", "points", "weights", "geometry"}
         assert pickle.dumps(inst) == pickle.dumps(make(name))
-    kept = [item for _, value in maxdisp.instance._KEPT.values()
+    kept = [item for *_, value in maxdisp.instance._KEPT.values()
             for item in value if isinstance(item, np.ndarray)]
     assert len(maxdisp.instance._KEPT) == 4 and len(kept) >= 9
     for arr in kept:
