@@ -107,21 +107,26 @@ def _check_budget(budget) -> int:
     return int(budget)
 
 
-def _prepare(directions):
+def _prepare(directions, norms=None):
     """(D, norms of D's columns) for the rejection test, where D holds the
     nonzero rows of `directions`, transposed: a zero row could never satisfy
-    the strict inequality, so it is exempt."""
-    norms = np.linalg.norm(directions, axis=1)
+    the strict inequality, so it is exempt.  `norms` are the row norms, when
+    the caller has them."""
+    if norms is None:
+        norms = np.linalg.norm(directions, axis=1)
     active = norms > 0.0
     return directions[active].T, norms[active]
 
 
 def _ball_test(inst, rho):
-    """(alpha, bound_r, refined bound, D, norms) of approx_ball at rho."""
-    n, ratio = inst.dim, rho / inst.m
+    """(alpha, bound_r, refined bound, D, norms) of approx_ball at rho; the
+    anchor norms are computed once for the test and the refined bound."""
+    n, m = inst.dim, inst.m
+    ratio = rho / m
     alpha = tail_s_inverse(n, ratio) if ratio < 0.5 else 0.0
-    D, norms = _prepare(inst.points)
-    return alpha, 0.5 * (1.0 - alpha / math.sqrt(n)), bound_refined(inst, rho), D, norms
+    norms = np.linalg.norm(inst.points, axis=1)
+    refined = _refined(n, m, rho, float(norms.min()))
+    return (alpha, 0.5 * (1.0 - alpha / math.sqrt(n)), refined) + _prepare(inst.points, norms)
 
 
 def _lift_test(inst, lift):
@@ -279,8 +284,11 @@ def bound_refined(inst: DispersionInstance, rho: float) -> float:
     anchors move farther from the feasible ball.
     """
     rho = _check_rho(rho)
-    n, m = inst.dim, inst.m
-    d = float(np.linalg.norm(inst.points, axis=1).min())
+    return _refined(inst.dim, inst.m, rho, float(np.linalg.norm(inst.points, axis=1).min()))
+
+
+def _refined(n, m, rho, d):
+    """bound_refined's factor at the smallest anchor norm d."""
     nu = d + 1.0 / d if d > 1.0 else 2.0
     spread = math.sqrt((20.0 / (9.0 * n)) * math.log(m / rho))
     return nu / (2.0 + nu) - (2.0 / (2.0 + nu)) * spread

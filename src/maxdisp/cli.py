@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto the library layers:
 
-    solve         global value of an instance (stationary enumeration or exact method)
+    solve         global value of an instance (root certificate, stationary
+                  enumeration or exact method)
     relax         convex relaxation value, optionally with the lifted matrix
     approx        repeated runs of one of the randomized samplers
     bench         the full benchmark protocol, CSV or markdown
@@ -66,6 +67,7 @@ def _cmd_solve(args) -> int:
         {
             "method": "oracle",
             "value": res.value,
+            "upper": res.upper,
             "x": [float(v) for v in res.x_best],
             "note": res.certified_radius,
             "method_trace": res.method_trace,
@@ -201,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="best stationary point of an instance, or (when "
-                       "applicable) its exact solution")
+    p = sub.add_parser("solve", help="global value of an instance with its relaxation bound, "
+                       "or (when applicable) its exact solution")
     p.add_argument("instance", help="path to an instance JSON file")
     p.add_argument("--exact", action="store_true", help="use the sign-direction exact method")
     p.set_defaults(func=_cmd_solve)

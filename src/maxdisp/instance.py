@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -130,15 +130,15 @@ def _kept(name, inst, key, build, *args):
     The one rule for values reused between calls: each name keeps one entry,
     for the last inst and key built, replaced in one assignment, so concurrent
     callers can only miss; callers run their calls on one instance back to
-    back.  inst (an instance, or None) matches by identity, an equal one
-    builds afresh, and key by ==.  Nothing is stored on an instance.  Every
-    array in a kept value is made read-only.
+    back.  inst matches by identity, so an equal instance builds afresh, and
+    key by ==.  Nothing is stored on an instance.  A kept value is a tuple or
+    a dataclass record, and every array in it is made read-only.
     """
     entry = _KEPT.get(name)
     if entry is not None and entry[0] is inst and entry[1] == key:
         return entry[2]
     value = build(*args)
-    for item in value:
+    for item in vars(value).values() if is_dataclass(value) else value:
         if isinstance(item, np.ndarray):
             item.flags.writeable = False
     _KEPT[name] = (inst, key, value)

@@ -1,7 +1,15 @@
-"""Global oracle for desk-scale instances: the best stationary point.
+"""Global oracle for desk-scale instances: the root certificate, else the
+best stationary point.
 
-solve_global enumerates the stationary points of the maximin objective and
-returns the best.  A local maximum x has an active set, the anchors whose
+solve_global first consults the convex relaxation at its defaults (the
+kept result of a caller's own call) and its bound U = zeta_star + gap.
+Where the objective at x_star, projected into the region, reaches
+U - 1e-12 max(1, U), the relaxation certifies that point and it is
+returned: closed at the root, as the paper's tightness result makes every
+ball with m <= n.  Otherwise the stationary points of the maximin
+objective are enumerated and the best is returned.
+
+A local maximum x has an active set, the anchors whose
 terms w_i ||x - p_i||^2 attain the minimum there; by Caratheodory at most
 n + 1 of them make x stationary.  Inside a face with free coordinates F
 (the open ball has |F| = n), |F| + 1 of them span the face: else a face
@@ -18,9 +26,8 @@ hull comes from Qhull (scipy.spatial.ConvexHull).
 
 On the ball each set gives the two sphere points c +- step of its tie set,
 by the rule (relax._sphere_points) whose c and c - step the relaxation
-scores; that geometry is kept between calls by instance._kept.  On the box
-each face, its J fixed at signs sigma, gives interior points in its free
-coordinates F, and the 2^n corners are candidates too.
+scores.  On the box each face, its J fixed at signs sigma, gives interior
+points in its free coordinates F, and the 2^n corners are candidates too.
 The ball is the one face with F = all coordinates.  Each face solves the
 interior systems of its sets of exactly |F| + 1 anchors, so only faces with
 |F| < m solve any: none on a ball with m <= n.  Such a system is the set's
@@ -31,9 +38,9 @@ more than _MAX_SYSTEMS (face, set) systems before pruning are refused: the
 protocol's m = 30 (768,211) and the hardness instances up to n = 10
 (784,625) fit under it.
 
-The result is a reference value, not a certificate; tests always pair it
-with the relaxation upper bound.  method_trace holds the counts (systems
-solved, candidates) and the enumeration's seconds.
+Every result carries U as `upper`, a bound on the optimum.  method_trace
+holds the enumeration's counts (systems solved, candidates) and seconds,
+all 0 on the root route.
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ from itertools import combinations, product
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .instance import DispersionInstance, Geometry, _value, evaluate_batch
-from .relax import _TABLES, _distinct_rows, _padded_sets, _sphere_points
+from .instance import DispersionInstance, Geometry, _project, _value, evaluate_batch
+from .relax import _TABLES, _distinct_rows, _padded_sets, _relaxation, _sphere_points
 
 __all__ = ["OracleResult", "solve_global"]
 
@@ -58,16 +65,18 @@ _BLOCK = 8192
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best stationary point found, with a trace of how it was found.
+    """The point returned, its value, and a trace of how it was found.
 
-    certified_radius is an informal quality note; nothing here is a proof of
-    optimality.
+    upper is zeta_star + gap of the relaxation consulted, a bound on the
+    optimum; value is within 1e-12 max(1, upper) of it when the note
+    (certified_radius) says "closed at the root".
     """
 
     x_best: np.ndarray
     value: float
     method_trace: dict
     certified_radius: str
+    upper: float
 
 
 @lru_cache(maxsize=_TABLES)
@@ -219,16 +228,16 @@ def solve_global(
     budget: int = 200_000,
     rng: np.random.Generator | None = None,
 ) -> OracleResult:
-    """Best stationary point over the active sets the lifted hull keeps.
+    """The relaxation's point where it attains the relaxation's bound U,
+    else the best stationary point (_enumerate); `upper` is U.
 
-    Interior systems run only for sets of exactly |F| + 1 anchors, the only
-    sets that can hold a maximum inside a face with free coordinates F (none
-    on a ball with m <= n).  `budget` and `rng` are accepted and unused; a
-    negative budget still raises.  An instance with more than 10^6 (face, set)
-    systems before pruning raises ValueError.  method_trace["active_sets"]
-    counts the systems solved, sphere and interior alike; the
-    certified_radius note counts the sets kept.  Among candidates of equal
-    value the first in enumeration order wins.
+    `budget` and `rng` are accepted and unused; a negative budget still
+    raises.  An instance with more than 10^6 (face, set) systems before
+    pruning raises ValueError, on either route.  The root route needs
+    f(x) >= U - 1e-12 max(1, U) at x = x_star / max(1, ||x_star||) on the
+    ball, x_star on the box; its trace counts are all 0.  Where the
+    relaxation's pieces overflow, only the enumeration runs and `upper` is
+    inf.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -236,6 +245,35 @@ def solve_global(
     if systems > _MAX_SYSTEMS:
         raise ValueError(f"the enumeration needs {systems:,} active-set systems, "
                          f"above its limit of {_MAX_SYSTEMS:,}")
+    try:
+        rel = _relaxation(inst, inst.geometry, None, None)
+    except ValueError:  # its pieces overflow: no bound to consult
+        return _enumerate(inst)
+    upper = rel.zeta_star + rel.gap
+    x = _project(rel.x_star, inst.geometry is Geometry.BALL)
+    value = _value(inst, x)
+    if value >= upper - 1e-12 * max(1.0, upper):
+        trace = {"samples": 0, "stationary_candidates": 0, "active_sets": 0,
+                 "candidates_refined": 0, "refine_steps": 0, "polish_steps": 0,
+                 "seconds_stationary": 0.0}
+        note = ("closed at the root: the relaxation's point attains its upper bound "
+                "to 1e-12 relative; no stationary point was enumerated")
+        return OracleResult(x_best=x, value=value, method_trace=trace,
+                            certified_radius=note, upper=upper)
+    return _enumerate(inst, upper)
+
+
+def _enumerate(inst: DispersionInstance, upper: float = math.inf) -> OracleResult:
+    """Best stationary point over the active sets the lifted hull keeps,
+    reported with the bound `upper` (by default none).
+
+    Interior systems run only for sets of exactly |F| + 1 anchors, the only
+    sets that can hold a maximum inside a face with free coordinates F (none
+    on a ball with m <= n).  method_trace["active_sets"] counts the systems
+    solved, sphere and interior alike; the certified_radius note counts the
+    sets kept.  Among candidates of equal value the first in enumeration
+    order wins.
+    """
     t0 = time.perf_counter()
     best_x, best_v, found, solved = None, -math.inf, 0, 0
     idx, size = _active_sets(inst)
@@ -251,9 +289,6 @@ def solve_global(
     trace = {"samples": 0, "stationary_candidates": found, "active_sets": solved,
              "candidates_refined": 0, "refine_steps": 0, "polish_steps": 0,
              "seconds_stationary": time.perf_counter() - t0}
-    note = (
-        f"enumerated: best of {found} stationary points of {len(idx)} active "
-        "sets; pair with a relaxation upper bound for soundness"
-    )
+    note = f"enumerated: best of {found} stationary points of {len(idx)} active sets"
     return OracleResult(x_best=best_x, value=_value(inst, best_x), method_trace=trace,
-                        certified_radius=note)
+                        certified_radius=note, upper=upper)

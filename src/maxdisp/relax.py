@@ -24,7 +24,10 @@ meets the sphere, c - step (_sphere_points, whose c + step the oracle uses
 too).  With m <= min(n, 8) pieces the face points of all sets of pieces come
 first, then the polish's exact solves one at a time, stopping at the first
 simplex vector that closes the gap; the barrier runs only if a gap is left.
-The tie-set geometry is kept between calls by instance._kept.
+
+The last result is kept between calls by instance._kept, for the same
+instance, geometry, tol and max_iter, with x_star read-only: the oracle
+consults the relaxation a caller has just solved.
 
 The optimum also induces a feasible matrix for the semidefinite relaxation of
 the same problem (`lift_ball`, `lift_box`), realizing the equivalence between
@@ -151,14 +154,6 @@ def _multipliers(B, x, act):
 
 
 def _sphere_points(a, B, acts):
-    """_sphere_points_uncached kept by instance._kept under the shapes, dtypes and
-    bytes of a, B and acts: the oracle repeats the face-point start's call right after it."""
-    key = (a.shape, B.shape, acts.shape, a.dtype, B.dtype, acts.dtype,
-           a.tobytes(), B.tobytes(), acts.tobytes())
-    return _kept("sphere_points", None, key, _sphere_points_uncached, a, B, acts)
-
-
-def _sphere_points_uncached(a, B, acts):
     """The tie-set geometry of each row of acts: where its pieces take one value.
 
     acts is a stack of index rows; a row may repeat its first index, which
@@ -316,6 +311,13 @@ def _solve_ball(cert, tol, fine, max_iter):
             tau *= _TAU_GROWTH
 
 
+def _relaxation(inst: DispersionInstance, geometry: Geometry, tol, max_iter):
+    """_solve_relaxation kept by instance._kept for inst and (geometry, tol,
+    max_iter): the oracle asks for the relaxation a caller has just solved."""
+    return _kept("relaxation", inst, (geometry, tol, max_iter),
+                 _solve_relaxation, inst, geometry, tol, max_iter)
+
+
 def _solve_relaxation(inst: DispersionInstance, geometry: Geometry, tol, max_iter):
     if inst.geometry is not geometry:
         raise ValueError(
@@ -361,9 +363,10 @@ def solve_cr_ball(
     that is smallest at the origin, and the default cap is 200 * m * n
     Newton steps.  On a single anchor the optimum is closed form (the
     antipode of the anchor direction); with m <= min(n, 8) distinct anchors
-    the face-point start closes the gap with 0 Newton steps.
+    the face-point start closes the gap with 0 Newton steps.  A repeated call
+    with the same instance, tol and max_iter returns the kept result.
     """
-    return _solve_relaxation(inst, Geometry.BALL, tol, max_iter)
+    return _relaxation(inst, Geometry.BALL, tol, max_iter)
 
 
 def solve_cr_box(
@@ -373,7 +376,7 @@ def solve_cr_box(
 
     Defaults as for solve_cr_ball; max_iter caps HiGHS simplex iterations.
     """
-    return _solve_relaxation(inst, Geometry.BOX, tol, max_iter)
+    return _relaxation(inst, Geometry.BOX, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -490,3 +490,14 @@ def test_refined_bound_beats_plain_for_far_anchors():
             20.0 / (9.0 * 5) * math.log(3 / 0.9)
         )
         assert abs(bound_refined(near, 0.9) - expect) < 1e-12
+
+
+def test_refined_bound_of_a_zero_anchor_is_the_plain_estimate():
+    # a zero anchor makes d = 0 (nu = 2), though the rejection test exempts
+    # it; approx_ball's kept refined bound is bound_refined's, bit for bit
+    pts = np.array([[0.0, 0.0, 0.0], [3.0, 1.0, -2.0], [2.0, -2.0, 2.0]])
+    inst = DispersionInstance(dim=3, points=pts, weights=np.ones(3), geometry=Geometry.BALL)
+    expect = 0.5 - 0.5 * math.sqrt(20.0 / 27.0 * math.log(3 / 0.9))
+    assert abs(bound_refined(inst, 0.9) - expect) < 1e-15
+    res = approx_ball(inst, 0.9, np.random.default_rng(0))
+    assert res.refined_bound == bound_refined(inst, 0.9)

@@ -1,6 +1,8 @@
-"""Enumeration oracle: agreement with certified routes and an independent
-multistart reference, hull pruning, the size limit and the budget contract."""
+"""Global oracle: the root certificate and its bound, and the enumeration's
+agreement with certified routes and an independent multistart reference,
+hull pruning, the size limit and the budget contract."""
 
+import dataclasses
 import math
 import time
 from itertools import combinations, product
@@ -51,6 +53,9 @@ def test_matches_exact_solver():
         ex = solve_exact(inst)
         orc = solve_global(inst, budget=20_000, rng=np.random.default_rng(k))
         assert abs(orc.value - ex.value) < 1e-8 * max(1.0, ex.value), (n, m, k)
+        # solve_global closes these at the root, so check the enumeration too
+        enum = oracle._enumerate(inst)
+        assert abs(enum.value - ex.value) < 1e-8 * max(1.0, ex.value), (n, m, k)
 
 
 def test_never_exceeds_relaxation():
@@ -122,7 +127,7 @@ def test_trace_bookkeeping():
     # face's interior roots; the counts of the deleted search read zero
     inst = generate_random(4, 7, seed=3, geometry=Geometry.BOX)
     t0 = time.perf_counter()
-    res = solve_global(inst, budget=60_000, rng=np.random.default_rng(7))
+    res = oracle._enumerate(inst)
     wall = time.perf_counter() - t0
     tr = res.method_trace
     assert set(tr) == set(_TRACE_KEYS)
@@ -142,7 +147,7 @@ def test_trace_bookkeeping():
 
 def test_small_ball_trace_names_the_enumeration():
     inst = generate_random(4, 6, seed=3)
-    res = solve_global(inst, budget=60_000, rng=np.random.default_rng(7))
+    res = oracle._enumerate(inst)
     tr = res.method_trace
     assert set(tr) == set(_TRACE_KEYS)
     assert tr["samples"] == 0 and tr["stationary_candidates"] > 0
@@ -183,7 +188,7 @@ def test_degenerate_anchors_reach_relaxation(points, weights):
         dim=pts.shape[1], points=pts, weights=np.asarray(weights), geometry=Geometry.BALL
     )
     rel = solve_cr_ball(inst)
-    res = solve_global(inst, budget=2000, rng=np.random.default_rng(0))
+    res = oracle._enumerate(inst)
     assert res.value >= rel.zeta_star * (1.0 - 1e-12)
 
 
@@ -201,7 +206,7 @@ def test_enumeration_solves_only_sets_of_at_most_n_plus_one(monkeypatch):
     sphere_points = oracle._sphere_points
     monkeypatch.setattr(oracle, "_sphere_points", recording_sphere_points)
     inst = generate_random(5, 12, seed=8)
-    res = solve_global(inst)
+    res = oracle._enumerate(inst)
     assert res.method_trace["stationary_candidates"] > 0
     assert sizes and max(sizes) == inst.dim + 1
 
@@ -423,7 +428,7 @@ def test_enumeration_between_feasible_batch_and_relaxation_bound(family, geom, n
     # families give the stacked pass rank-deficient and padded systems, and
     # the hull degenerate facets.  Boxes keep to the test shapes, m <= 9.
     inst = _family_instance(family, n, m if geom is Geometry.BALL else min(m, 9), seed, geom)
-    res = solve_global(inst)
+    res = oracle._enumerate(inst)
     assert res.certified_radius.startswith("enumerated")
     rel = (solve_cr_ball if geom is Geometry.BALL else solve_cr_box)(inst, tol=1e-12)
     scale = max(1.0, res.value)
@@ -440,14 +445,14 @@ def test_pruned_equals_every_set(family, monkeypatch):
     cases = [(_family_instance(family, n, m, 100 * n + m, geom), geom)
              for n, m, geom in ((2, 9, Geometry.BALL), (3, 14, Geometry.BALL),
                                 (4, 16, Geometry.BALL), (3, 9, Geometry.BOX))]
-    pruned = [solve_global(inst) for inst, _ in cases]
+    pruned = [oracle._enumerate(inst) for inst, _ in cases]
 
     def failing_hull(*args, **kwargs):
         raise QhullError("forced")
 
     monkeypatch.setattr(oracle, "ConvexHull", failing_hull)
     for (inst, geom), res in zip(cases, pruned):
-        every = solve_global(inst)
+        every = oracle._enumerate(inst)
         # equal up to the rounding of one point reached from different sets
         assert abs(res.value - every.value) <= 1e-13 * every.value, (family, inst.m, geom)
         kept, total = res.method_trace["active_sets"], every.method_trace["active_sets"]
@@ -547,7 +552,7 @@ def test_skipped_interior_systems_leave_the_result(family):
     for n, m, geom in ((5, 4, Geometry.BALL), (6, 6, Geometry.BALL), (3, 9, Geometry.BALL),
                        (4, 3, Geometry.BOX), (3, 3, Geometry.BOX), (3, 6, Geometry.BOX)):
         inst = _family_instance(family, n, m, 10 * n + m, geom)
-        res = solve_global(inst)
+        res = oracle._enumerate(inst)
         value, x_best, every = _every_small_set_system(inst)
         case = (family, n, m, geom)
         found = np.concatenate([pts for pts, _ in _candidate_blocks(inst, *_active_sets(inst))])
@@ -571,12 +576,12 @@ def test_interior_systems_only_on_faces_with_more_anchors(monkeypatch):
     face_points = oracle._face_points
     monkeypatch.setattr(oracle, "_face_points", recording_face_points)
     for n in (2, 6, 10):
-        assert solve_global(generate_random(n, n, seed=8)).method_trace["active_sets"] > 0
+        assert oracle._enumerate(generate_random(n, n, seed=8)).method_trace["active_sets"] > 0
     assert calls == []
-    solve_global(generate_random(5, 12, seed=8))
+    oracle._enumerate(generate_random(5, 12, seed=8))
     assert calls and all(call == (5, 6, {6}) for call in calls)
     calls.clear()
-    solve_global(generate_random(5, 3, seed=8, geometry=Geometry.BOX))
+    oracle._enumerate(generate_random(5, 3, seed=8, geometry=Geometry.BOX))
     assert {f for f, _, _ in calls} == {1, 2}  # the faces with |F| < m = 3
     assert all(k == f + 1 and distinct == {f + 1} for f, k, distinct in calls)
 
@@ -613,4 +618,58 @@ def test_enumeration_never_below_multistart_slsqp():
         w = rng.uniform(0.3, 3.0, m) if k % 4 >= 2 else np.ones(m)
         inst = DispersionInstance(n, rng.uniform(-1.0, 1.0, size=(m, n)), w, geom)
         ref = _slsqp_best(inst, 32, rng)
-        assert solve_global(inst).value >= ref * (1.0 - 1e-12), (k, geom, n, m)
+        assert oracle._enumerate(inst).value >= ref * (1.0 - 1e-12), (k, geom, n, m)
+
+
+def test_root_closes_only_where_the_enumeration_cannot_do_better():
+    # the root route returns the relaxation's point once it reaches the
+    # relaxation's bound U to 1e-12 relative; the enumeration, run anyway,
+    # must find the same maximum to 4 ulps: above would beat the bound,
+    # below means a missed basin.  Every value, on either route, lies at or
+    # below U
+    closed = {Geometry.BALL: 0, Geometry.BOX: 0}
+    total = dict(closed)
+    for family in _FAMILIES:
+        for geom in (Geometry.BALL, Geometry.BOX):
+            for n in range(1, 7):
+                for m in range(1, 2 * n + 1):
+                    if family == "hardness" and m > 1:
+                        continue  # the family fixes m = 2n
+                    inst = _family_instance(family, n, m, 1000 * n + m, geom)
+                    res = solve_global(inst)
+                    case = (family, geom, n, m)
+                    assert res.value <= res.upper + 1e-9, case
+                    total[geom] += 1
+                    if res.certified_radius.startswith("closed at the root"):
+                        closed[geom] += 1
+                        assert res.value >= res.upper - 1e-12 * max(1.0, res.upper), case
+                        assert res.method_trace["active_sets"] == 0, case
+                        ulps = 4 * np.finfo(float).eps * abs(res.value)
+                        assert abs(oracle._enumerate(inst).value - res.value) <= ulps, case
+    # the root closes some instances of each geometry, but not all
+    assert all(0 < closed[g] < total[g] for g in total), (closed, total)
+
+
+def test_upper_bounds_the_feasible_hardness_artifact():
+    # criterion 11's feasible partition: the optimum is 2 - 2/sqrt(tr Lambda),
+    # which the oracle's value reaches to 1e-3 and its upper bound covers
+    artifact = build_hardness((1, 1, 1, 1, 2))
+    res = solve_global(artifact.instance)
+    formula = 2.0 - 2.0 / math.sqrt(float(artifact.lambda_diag.sum()))
+    assert res.value - 1e-3 <= formula <= res.upper + 1e-9
+    assert math.isfinite(res.upper)
+
+
+@pytest.mark.parametrize("slack, closes", [(1e-13, True), (1e-9, False)])
+def test_root_closes_within_1e_12_of_the_bound_only(slack, closes, monkeypatch):
+    # the same relaxation with its bound raised by `slack` relative: the root
+    # closes only while the point stays within 1e-12 relative of the bound
+    inst = generate_random(4, 3, seed=0)
+    rel = solve_cr_ball(inst)
+    upper = rel.zeta_star + rel.gap
+    raised = dataclasses.replace(rel, gap=rel.gap + slack * max(1.0, upper))
+    monkeypatch.setattr(oracle, "_relaxation", lambda *args: raised)
+    res = solve_global(inst)
+    assert res.certified_radius.startswith("closed at the root") is closes
+    assert res.upper == raised.zeta_star + raised.gap
+    assert (res.method_trace["active_sets"] > 0) is not closes

@@ -204,78 +204,70 @@ def test_polish_solves_each_support_once(monkeypatch):
     assert solved > 30
 
 
-def _tie_pieces(seed, m=3, n=4):
-    """A ball's pieces a = 1 + ||p||^2, B = 2 p, and every set of its m anchors."""
-    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (m, n))
-    return 1.0 + np.einsum("ij,ij->i", pts, pts), 2.0 * pts, relax._padded_sets(m, m)[0]
+def _counting_relaxation(monkeypatch):
+    """An empty keep, the unkept solve, and a list whose length counts the
+    solves the public functions run."""
+    calls, solve = [], relax._solve_relaxation
 
-
-def _counting_sphere_points(monkeypatch):
-    """An empty memo, and a list whose length counts the uncached calls."""
-    calls, uncached = [], relax._sphere_points_uncached
-
-    def counting(a, B, acts):
+    def counting(*args):
         calls.append(None)
-        return uncached(a, B, acts)
+        return solve(*args)
 
-    monkeypatch.setattr(relax, "_sphere_points_uncached", counting)
+    monkeypatch.setattr(relax, "_solve_relaxation", counting)
     monkeypatch.setattr("maxdisp.instance._KEPT", {})
-    return calls
+    return calls, solve
 
 
 def _same_bits(got, want):
-    return all(g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
-               for g, w in zip(got, want, strict=True))
+    return (got.x_star.tobytes() == want.x_star.tobytes()
+            and (got.zeta_star, got.gap, got.iterations, got.converged)
+            == (want.zeta_star, want.gap, want.iterations, want.converged))
 
 
-def test_sphere_points_memo_hit_is_a_fresh_call_bit_for_bit(monkeypatch):
-    calls = _counting_sphere_points(monkeypatch)
-    a, B, acts = _tie_pieces(0)
-    first = relax._sphere_points(a, B, acts)
-    # equal content in other arrays is a hit
-    hit = relax._sphere_points(a.copy(), B.copy(), acts.copy())
-    assert len(calls) == 1
-    assert all(h is f for h, f in zip(hit, first))
-    assert _same_bits(hit, relax._sphere_points_uncached(a, B, acts))
+def _kept_pair():
+    """A ball with m <= n (the face-point start) and a box, each with its solver."""
+    return ((generate_random(4, 3, seed=0), solve_cr_ball),
+            (generate_random(4, 6, seed=0, geometry=Geometry.BOX), solve_cr_box))
 
 
-def test_sphere_points_memo_is_read_only(monkeypatch):
-    _counting_sphere_points(monkeypatch)
-    a, B, acts = _tie_pieces(0)
-    for arr in relax._sphere_points(a, B, acts):
-        assert not arr.flags.writeable
+def test_relaxation_kept_hit_is_a_fresh_solve_bit_for_bit(monkeypatch):
+    calls, solve = _counting_relaxation(monkeypatch)
+    for inst, public in _kept_pair():
+        calls.clear()
+        first = public(inst)
+        hit = public(inst)
+        assert len(calls) == 1 and hit is first
+        assert _same_bits(hit, solve(inst, inst.geometry, None, None))
+
+
+def test_relaxation_kept_x_star_is_read_only(monkeypatch):
+    _, solve = _counting_relaxation(monkeypatch)
+    for inst, public in _kept_pair():
+        res = public(inst)
+        assert not res.x_star.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
-    # the memo's copy is untouched by the attempts
-    assert _same_bits(relax._sphere_points(a, B, acts), relax._sphere_points_uncached(a, B, acts))
-
-
-def _one_ulp_up(a, B, acts):
-    a = a.copy()
-    a[1] = np.nextafter(a[1], np.inf)
-    return a, B, acts
-
-
-def _other_acts_index(a, B, acts):
-    acts = acts.copy()
-    acts[-1, -1] = acts[-1, 0]  # the set {0, 1, 2} becomes {0, 1}, padded
-    return a, B, acts
+            res.x_star[0] = 0.0
+        # the kept result is untouched by the attempt
+        assert _same_bits(public(inst), solve(inst, inst.geometry, None, None))
 
 
 @pytest.mark.parametrize("change", [
-    _one_ulp_up,
-    lambda a, B, acts: (a, B.reshape(B.shape[::-1]), acts),  # same bytes, other shape
-    _other_acts_index,
-    lambda a, B, acts: _tie_pieces(1),  # a second instance
-])
-def test_sphere_points_memo_recomputes_on_any_change(change, monkeypatch):
-    calls = _counting_sphere_points(monkeypatch)
-    a, B, acts = _tie_pieces(0)
-    relax._sphere_points(a, B, acts)
-    args = change(a, B, acts)
-    got = relax._sphere_points(*args)
-    assert len(calls) == 2
-    assert _same_bits(got, relax._sphere_points_uncached(*args))
+    lambda inst: (DispersionInstance(inst.dim, inst.points, inst.weights, inst.geometry), {}),
+    lambda inst: (generate_random(inst.dim, inst.m, seed=1, geometry=inst.geometry), {}),
+    lambda inst: (inst, {"tol": 1e-9}),
+    lambda inst: (inst, {"max_iter": 50}),
+], ids=["equal_instance", "other_instance", "other_tol", "other_max_iter"])
+def test_relaxation_kept_recomputes_on_any_change(change, monkeypatch):
+    # the keep matches the instance by identity and the arguments by ==
+    calls, solve = _counting_relaxation(monkeypatch)
+    for inst, public in _kept_pair():
+        calls.clear()
+        public(inst)
+        other, kwargs = change(inst)
+        got = public(other, **kwargs)
+        assert len(calls) == 2
+        tol, max_iter = kwargs.get("tol"), kwargs.get("max_iter")
+        assert _same_bits(got, solve(other, other.geometry, tol, max_iter))
 
 
 def _start_family(kind, n, m, rng):
@@ -305,8 +297,13 @@ def test_face_point_start_matches_barrier(seed, kind, monkeypatch):
         inst = _start_family(kind, n, int(rng.integers(1, min(n, 8) + 1)), rng)
         start = solve_cr_ball(inst)
         with monkeypatch.context() as patch:
+            # an empty keep, or the second call would return `start` itself
+            patch.setattr("maxdisp.instance._KEPT", {})
             patch.setattr(relax, "_START_MAX", 0)
             barrier = solve_cr_ball(inst)
+        # a fresh solve, not the kept `start` (m = 1 or a closed start takes
+        # no Newton step, so iterations alone cannot tell)
+        assert barrier is not start
         assert start.iterations == 0 and start.converged
         # both ends are rounded: the gap is clamped at 0 where U rounds below F
         scale = max(1.0, abs(barrier.zeta_star))
