@@ -5,9 +5,9 @@ solve_global first consults the convex relaxation at its defaults (the
 kept result of a caller's own call) and its bound U = zeta_star + gap.
 Where the objective at x_star, projected into the region, reaches
 U - 1e-12 max(1, U), the relaxation certifies that point and it is
-returned: closed at the root, as the paper's tightness result makes every
-ball with m <= n.  Otherwise the stationary points of the maximin
-objective are enumerated and the best is returned.
+returned: closed at the root.  On a ball with m <= n the paper's slide
+(exact.solve_exact) is tried next; by its tightness result it closes every
+such ball.  Otherwise the best stationary point is enumerated.
 
 A local maximum x has an active set, the anchors whose
 terms w_i ||x - p_i||^2 attain the minimum there; by Caratheodory at most
@@ -33,10 +33,10 @@ interior systems of its sets of exactly |F| + 1 anchors, so only faces with
 |F| < m solve any: none on a ball with m <= n.  Such a system is the set's
 ties, linear in (x_F, t) at fixed u = ||x||^2; its matrix depends on F and
 the set alone, so one factorization serves all 2^|J| faces that fix J, and a
-stacked pass holds at most _BLOCK (set, sign pattern) systems.  Instances with
-more than _MAX_SYSTEMS (face, set) systems before pruning are refused: the
-protocol's m = 30 (768,211) and the hardness instances up to n = 10
-(784,625) fit under it.
+stacked pass holds at most _BLOCK (set, sign pattern) systems.  The
+enumeration refuses more than _MAX_SYSTEMS (face, set) systems before
+pruning, first thing: the protocol's m = 30 (768,211) and the hardness
+instances up to n = 10 (784,625) fit under it.  The root is never refused.
 
 Every result carries U as `upper`, a bound on the optimum.  method_trace
 holds the enumeration's counts (systems solved, candidates) and seconds,
@@ -45,17 +45,18 @@ all 0 on the root route.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .exact import NotApplicableError, solve_exact
 from .instance import DispersionInstance, Geometry, _project, _value, evaluate_batch
-from .relax import _TABLES, _distinct_rows, _padded_sets, _relaxation, _sphere_points
+from .relax import _distinct_rows, _relaxation, _sphere_points
 
 __all__ = ["OracleResult", "solve_global"]
 
@@ -79,7 +80,6 @@ class OracleResult:
     upper: float
 
 
-@lru_cache(maxsize=_TABLES)
 def _combos(c, k):
     """Every k-subset of range(c) as the rows of one index array, in combinations order."""
     return np.array(list(combinations(range(c), k)), dtype=np.intp)
@@ -89,50 +89,51 @@ def _system_count(inst):
     """The count the 10^6 refusal reads, not the work done: every set of at
     most |F| + 1 anchors on each face with |F| >= 1 free coordinates."""
     n, m = inst.dim, inst.m
-
-    def per_face(f):
-        return sum(math.comb(m, k) for k in range(1, min(m, f + 1) + 1))
-
+    per_face = [sum(math.comb(m, k) for k in range(1, min(m, f + 1) + 1)) for f in range(n + 1)]
     if inst.geometry is Geometry.BALL:
-        return per_face(n)
-    return sum(math.comb(n, f) * 2 ** (n - f) * per_face(f) for f in range(1, n + 1))
+        return per_face[n]
+    return sum(math.comb(n, f) * 2 ** (n - f) * per_face[f] for f in range(1, n + 1))
 
 
-def _active_sets(inst):
-    """The active sets to solve, as _padded_sets returns them: the subsets of at
-    most K = min(m, n + 1) anchors of the lower facets of the lifted points q_i.
+def _facets(inst):
+    """The anchor sets whose subsets can be active: the vertices of each lower
+    facet of the lifted points q_i, or all m anchors as one set.
 
-    The q_i are first reduced to their affine hull.  Every subset is kept when
+    The q_i are first reduced to their affine hull.  All anchors are kept when
     they form a simplex (always when m <= n + 2), when the last axis leaves
     their span (then no facet is "lower": anchors of one norm and one weight),
-    and when Qhull fails; only the m <= n + 2 table is cached, every fallback
-    below it is built uncached, one-off and up to tens of MB.  Qhull
-    triangulates a facet with more than rank vertices; the pieces share their
-    equation, which merges them back.
+    and when Qhull fails.  Qhull triangulates a facet with more than rank
+    vertices; the pieces share their equation, which merges them back.
     """
-    m, n = inst.m, inst.dim
-    K = min(m, n + 1)
+    (m, n), P, w = (inst.m, inst.dim), inst.points, inst.weights
     if m <= n + 2:
-        return _padded_sets(m, K)
-    P, w = inst.points, inst.weights
+        return [range(m)]
     q = np.column_stack([-2.0 * w[:, None] * P, w, w * np.einsum("ij,ij->i", P, P)])
     _, sv, vt = np.linalg.svd(q[1:] - q[0])
     rank = int(np.sum(sv > max(m, n + 2) * np.finfo(float).eps * sv[0]))
     # rank < 2 leaves the last axis out too: q_i that differ only there would
     # have equal w_i and p_i, hence equal q_i
     if m <= rank + 1 or rank < 2 or np.linalg.norm(vt[rank:, -1]) > 1e-9:
-        return _padded_sets.__wrapped__(m, K)
+        return [range(m)]
     try:
         hull = ConvexHull((q - q[0]) @ vt[:rank].T)
     except QhullError:
-        return _padded_sets.__wrapped__(m, K)
+        return [range(m)]
     # vertical facets (last normal component 0 up to rounding) are kept too
     lower = hull.equations[:, :rank] @ vt[:rank, -1] < 1e-9
     facets = {}
     for eq, simplex in zip(hull.equations[lower], hull.simplices[lower]):
         facets.setdefault(eq.tobytes(), set()).update(simplex.tolist())
+    return list(facets.values())
+
+
+def _active_sets(inst):
+    """The active sets to solve: the subsets of at most K = min(m, n + 1)
+    anchors of one of the _facets, by size and then in combinations order,
+    padded to K entries by repeating their first index; and their sizes."""
+    facets, K = _facets(inst), min(inst.m, inst.dim + 1)
     by_count = {}
-    for verts in facets.values():
+    for verts in facets:
         by_count.setdefault(len(verts), []).append(sorted(verts))
     idx, size = [], []
     for k in range(1, K + 1):
@@ -141,7 +142,8 @@ def _active_sets(inst):
         if not parts:
             break
         rows = np.concatenate(parts)
-        sets = rows[_distinct_rows(rows)]  # sorted: combinations order
+        # one set's subsets are distinct and sorted already: no dedup of up to tens of MB
+        sets = rows if len(facets) == 1 else rows[_distinct_rows(rows)]
         idx.append(np.column_stack([sets, np.repeat(sets[:, :1], K - k, axis=1)]))
         size.append(np.full(len(sets), k, dtype=np.intp))
     return np.concatenate(idx), np.concatenate(size)
@@ -232,48 +234,54 @@ def solve_global(
     else the best stationary point (_enumerate); `upper` is U.
 
     `budget` and `rng` are accepted and unused; a negative budget still
-    raises.  An instance with more than 10^6 (face, set) systems before
-    pruning raises ValueError, on either route.  The root route needs
-    f(x) >= U - 1e-12 max(1, U) at x = x_star / max(1, ||x_star||) on the
-    ball, x_star on the box; its trace counts are all 0.  Where the
-    relaxation's pieces overflow, only the enumeration runs and `upper` is
-    inf.
+    raises.  The root route needs f(x) >= U - 1e-12 max(1, U) at
+    x = x_star / max(1, ||x_star||) on the ball, x_star on the box, or at
+    solve_exact's point on a ball with m <= n; its trace counts are all 0.
+    A relaxation whose pieces overflow raises its ValueError.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    systems = _system_count(inst)
-    if systems > _MAX_SYSTEMS:
+    ball = inst.geometry is Geometry.BALL
+    rel = _relaxation(inst, inst.geometry, None, None)
+    upper = rel.zeta_star + rel.gap
+    floor = upper - 1e-12 * max(1.0, upper)
+    x, how = _project(rel.x_star, ball), ""
+    value = _value(inst, x)
+    if value < floor and ball and inst.m <= inst.dim:
+        # the paper's slide from the kept relaxation; only rounding leaves no direction
+        with contextlib.suppress(NotApplicableError):
+            slid = solve_exact(inst)
+            x, value, how = slid.x_opt, slid.value, ", slid to the sphere,"
+    if value < floor:
+        return _enumerate(inst, upper)
+    return _result(x, value, upper, f"closed at the root: the relaxation's point{how} attains "
+                   "its upper bound to 1e-12 relative; no stationary point was enumerated")
+
+
+def _result(x, value, upper, note, found=0, solved=0, seconds=0.0):
+    """An OracleResult whose trace holds the enumeration's counts and seconds;
+    the deleted search's four counts stay, at zero: perfbench/harness.py reads them."""
+    trace = {"samples": 0, "stationary_candidates": found, "active_sets": solved,
+             "candidates_refined": 0, "refine_steps": 0, "polish_steps": 0,
+             "seconds_stationary": seconds}
+    return OracleResult(x, value, trace, note, upper)
+
+
+def _enumerate(inst: DispersionInstance, upper: float) -> OracleResult:
+    """Best stationary point over the active sets the lifted hull keeps,
+    reported with the bound `upper`.
+
+    Above _MAX_SYSTEMS (face, set) systems before pruning it raises
+    ValueError, before building any set.  Interior systems run only for sets
+    of exactly |F| + 1 anchors, the only sets that can hold a maximum inside
+    a face with free coordinates F (none on a ball with m <= n).
+    method_trace["active_sets"] counts the systems solved, sphere and
+    interior alike; the certified_radius note counts the sets kept.  Among
+    candidates of equal value the first in enumeration order wins.
+    """
+    if (systems := _system_count(inst)) > _MAX_SYSTEMS:
         raise ValueError(f"the enumeration needs {systems:,} active-set systems, "
                          f"above its limit of {_MAX_SYSTEMS:,}")
-    try:
-        rel = _relaxation(inst, inst.geometry, None, None)
-    except ValueError:  # its pieces overflow: no bound to consult
-        return _enumerate(inst)
-    upper = rel.zeta_star + rel.gap
-    x = _project(rel.x_star, inst.geometry is Geometry.BALL)
-    value = _value(inst, x)
-    if value >= upper - 1e-12 * max(1.0, upper):
-        trace = {"samples": 0, "stationary_candidates": 0, "active_sets": 0,
-                 "candidates_refined": 0, "refine_steps": 0, "polish_steps": 0,
-                 "seconds_stationary": 0.0}
-        note = ("closed at the root: the relaxation's point attains its upper bound "
-                "to 1e-12 relative; no stationary point was enumerated")
-        return OracleResult(x_best=x, value=value, method_trace=trace,
-                            certified_radius=note, upper=upper)
-    return _enumerate(inst, upper)
-
-
-def _enumerate(inst: DispersionInstance, upper: float = math.inf) -> OracleResult:
-    """Best stationary point over the active sets the lifted hull keeps,
-    reported with the bound `upper` (by default none).
-
-    Interior systems run only for sets of exactly |F| + 1 anchors, the only
-    sets that can hold a maximum inside a face with free coordinates F (none
-    on a ball with m <= n).  method_trace["active_sets"] counts the systems
-    solved, sphere and interior alike; the certified_radius note counts the
-    sets kept.  Among candidates of equal value the first in enumeration
-    order wins.
-    """
     t0 = time.perf_counter()
     best_x, best_v, found, solved = None, -math.inf, 0, 0
     idx, size = _active_sets(inst)
@@ -285,10 +293,5 @@ def _enumerate(inst: DispersionInstance, upper: float = math.inf) -> OracleResul
             i = int(np.argmax(vals))
             if vals[i] > best_v:
                 best_x, best_v = points[i].copy(), vals[i]
-    # the deleted search's four counts stay, at zero: perfbench/harness.py reads them
-    trace = {"samples": 0, "stationary_candidates": found, "active_sets": solved,
-             "candidates_refined": 0, "refine_steps": 0, "polish_steps": 0,
-             "seconds_stationary": time.perf_counter() - t0}
-    note = f"enumerated: best of {found} stationary points of {len(idx)} active sets"
-    return OracleResult(x_best=best_x, value=_value(inst, best_x), method_trace=trace,
-                        certified_radius=note, upper=upper)
+    return _result(best_x, _value(inst, best_x), upper, f"enumerated: best of {found} stationary "
+                   f"points of {len(idx)} active sets", found, solved, time.perf_counter() - t0)

@@ -61,8 +61,6 @@ _TAU_GROWTH = 8.0
 # largest m (<= n) starting from all 2^m - 1 face points; ms per solve, n = 10, 2 vCPUs,
 # start vs barrier: m = 7 1.3 vs 2.0, 8 1.6 vs 2.3, 9 3.9 vs 2.9, 10 8.6 vs 3.0
 _START_MAX = 8
-# tables kept by _padded_sets (`tight` asks for m <= 10) and oracle._combos
-_TABLES = 16
 
 
 class NonPositiveValueError(RuntimeError):
@@ -202,15 +200,13 @@ def _pad(sets, k):
     return np.array([A + A[:1] * (k - len(A)) for A in sets], dtype=np.intp)
 
 
-@lru_cache(maxsize=_TABLES)
-def _padded_sets(m, k):
-    """Read-only arrays over every subset of at most k of m indices, by size,
-    then in combinations order: the subsets padded to k entries (_pad), and
-    their sizes."""
-    sets = [A for size in range(1, k + 1) for A in combinations(range(m), size)]
-    idx, size = _pad(sets, k), np.array([len(A) for A in sets], dtype=np.intp)
-    idx.flags.writeable = size.flags.writeable = False
-    return idx, size
+@lru_cache(maxsize=_START_MAX)
+def _padded_sets(m):
+    """Every subset of range(m), by size and then in combinations order, padded
+    to m entries (_pad), as one read-only array: the face-point start's table."""
+    idx = _pad([A for k in range(1, m + 1) for A in combinations(range(m), k)], m)
+    idx.flags.writeable = False
+    return idx
 
 
 def _polish(cert, lam):
@@ -262,7 +258,7 @@ def _solve_ball(cert, tol, fine, max_iter):
     a, B, (m, n) = cert.a, cert.B, cert.B.shape
     start, offered = m <= min(n, _START_MAX), set()  # supports whose face points are offered
     if start:
-        cert.offer_faces(_padded_sets(m, m)[0])
+        cert.offer_faces(_padded_sets(m))
         # with m <= n one of the polish's sets is every piece; its supports
         # are dropped, so the start stops at its first closing bound
         for _ in _polish(cert, np.ones(m)):

@@ -14,6 +14,7 @@ from maxdisp import (
     DispersionInstance,
     Geometry,
     approx_general_fixed,
+    build_hardness,
     generate_random,
     lift_ball,
     lift_box,
@@ -86,17 +87,32 @@ def test_solve_oracle_json(ball_path, capsys):
 
 
 def test_solve_above_size_limit_fails_before_enumerating(tmp_path, capsys, monkeypatch):
-    # 12 dimensions and 40 anchors give sum over k <= 13 of C(40, k) active
-    # sets, above the oracle's limit: it must refuse before building any set
+    # the hardness instance of 1..11 has 22 anchors in 11 dimensions, sum over
+    # k <= 12 of C(22, k) active sets, above the oracle's limit, and its root
+    # does not close: the enumeration must refuse before building any set
     def no_enumeration(inst):
         raise AssertionError("the enumeration started")
 
     monkeypatch.setattr(oracle, "_active_sets", no_enumeration)
     path = tmp_path / "big.json"
-    write_instance(generate_random(12, 40, seed=0), path)
+    write_instance(build_hardness(np.arange(1, 12)).instance, path)
     assert main(["solve", str(path)]) == 1
-    count = sum(math.comb(40, k) for k in range(1, 14))
+    count = sum(math.comb(22, k) for k in range(1, 13))
     assert f"{count:,}" in capsys.readouterr().err
+    # 12 dimensions and 40 anchors count more sets still, but the root serves them
+    write_instance(generate_random(12, 40, seed=0), path)
+    assert main(["solve", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["note"].startswith("closed at the root")
+
+
+def test_solve_overflowing_piece_fails_cleanly(tmp_path, capsys):
+    inst = DispersionInstance(3, 1e160 * generate_random(3, 2, seed=0).points, np.ones(2),
+                              Geometry.BALL)
+    path = tmp_path / "huge.json"
+    write_instance(inst, path)
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
 
 
 def test_solve_exact_json(tmp_path, capsys):

@@ -31,7 +31,7 @@ from maxdisp import (
 )
 from maxdisp import oracle
 from maxdisp.instance import _project
-from maxdisp.oracle import _active_sets, _candidate_blocks, _face_points, _padded_sets
+from maxdisp.oracle import _active_sets, _candidate_blocks, _face_points
 
 
 def _halfspace_instance(n, m, seed):
@@ -54,7 +54,7 @@ def test_matches_exact_solver():
         orc = solve_global(inst, budget=20_000, rng=np.random.default_rng(k))
         assert abs(orc.value - ex.value) < 1e-8 * max(1.0, ex.value), (n, m, k)
         # solve_global closes these at the root, so check the enumeration too
-        enum = oracle._enumerate(inst)
+        enum = oracle._enumerate(inst, math.inf)
         assert abs(enum.value - ex.value) < 1e-8 * max(1.0, ex.value), (n, m, k)
 
 
@@ -127,7 +127,7 @@ def test_trace_bookkeeping():
     # face's interior roots; the counts of the deleted search read zero
     inst = generate_random(4, 7, seed=3, geometry=Geometry.BOX)
     t0 = time.perf_counter()
-    res = oracle._enumerate(inst)
+    res = oracle._enumerate(inst, math.inf)
     wall = time.perf_counter() - t0
     tr = res.method_trace
     assert set(tr) == set(_TRACE_KEYS)
@@ -147,7 +147,7 @@ def test_trace_bookkeeping():
 
 def test_small_ball_trace_names_the_enumeration():
     inst = generate_random(4, 6, seed=3)
-    res = oracle._enumerate(inst)
+    res = oracle._enumerate(inst, math.inf)
     tr = res.method_trace
     assert set(tr) == set(_TRACE_KEYS)
     assert tr["samples"] == 0 and tr["stationary_candidates"] > 0
@@ -188,7 +188,7 @@ def test_degenerate_anchors_reach_relaxation(points, weights):
         dim=pts.shape[1], points=pts, weights=np.asarray(weights), geometry=Geometry.BALL
     )
     rel = solve_cr_ball(inst)
-    res = oracle._enumerate(inst)
+    res = oracle._enumerate(inst, math.inf)
     assert res.value >= rel.zeta_star * (1.0 - 1e-12)
 
 
@@ -206,7 +206,7 @@ def test_enumeration_solves_only_sets_of_at_most_n_plus_one(monkeypatch):
     sphere_points = oracle._sphere_points
     monkeypatch.setattr(oracle, "_sphere_points", recording_sphere_points)
     inst = generate_random(5, 12, seed=8)
-    res = oracle._enumerate(inst)
+    res = oracle._enumerate(inst, math.inf)
     assert res.method_trace["stationary_candidates"] > 0
     assert sizes and max(sizes) == inst.dim + 1
 
@@ -270,6 +270,15 @@ def _reference_stationary_candidates(inst):
     return np.asarray(out)
 
 
+def _every_set(m, K):
+    """Every subset of at most K of m anchors, by size and then in
+    combinations order, padded to K entries by repeating the first; and the
+    sizes: the table _active_sets keeps when nothing is pruned."""
+    sets = [A for k in range(1, K + 1) for A in combinations(range(m), k)]
+    return (np.array([A + A[:1] * (K - len(A)) for A in sets], dtype=np.intp),
+            np.array([len(A) for A in sets], dtype=np.intp))
+
+
 def test_stacked_enumeration_matches_per_set_loop():
     # anchors in general position, so no tie set is flat (there the sphere
     # step takes an arbitrary direction of the set).  The same candidates
@@ -288,7 +297,7 @@ def test_stacked_enumeration_matches_per_set_loop():
         inst = DispersionInstance(dim=n, points=rng.normal(size=(m, n)), weights=w,
                                   geometry=Geometry.BALL)
         stacked = np.concatenate(
-            [pts for pts, _ in _candidate_blocks(inst, *_padded_sets(m, min(m, n + 1)))])
+            [pts for pts, _ in _candidate_blocks(inst, *_every_set(m, min(m, n + 1)))])
         loop = _reference_stationary_candidates(inst)
         assert stacked.shape == loop.shape, (k, n, m)
         assert np.abs(stacked - loop).max() <= 1e-6, (k, n, m)
@@ -401,7 +410,12 @@ def test_active_sets_match_unique_reference(monkeypatch):
     for inst, (idx, size) in zip(cases, lexsorted):
         ref_idx, ref_size = _active_sets(inst)
         assert np.array_equal(idx, ref_idx) and np.array_equal(size, ref_size)
-        pruned += len(size) < len(_padded_sets(inst.m, min(inst.m, inst.dim + 1))[1])
+        K = min(inst.m, inst.dim + 1)
+        if len(size) < sum(math.comb(inst.m, k) for k in range(1, K + 1)):
+            pruned += 1
+        else:  # every set, as one table in combinations order
+            every_idx, every_size = _every_set(inst.m, K)
+            assert np.array_equal(idx, every_idx) and np.array_equal(size, every_size)
     assert pruned == len(cases) - 2
 
 
@@ -428,7 +442,7 @@ def test_enumeration_between_feasible_batch_and_relaxation_bound(family, geom, n
     # families give the stacked pass rank-deficient and padded systems, and
     # the hull degenerate facets.  Boxes keep to the test shapes, m <= 9.
     inst = _family_instance(family, n, m if geom is Geometry.BALL else min(m, 9), seed, geom)
-    res = oracle._enumerate(inst)
+    res = oracle._enumerate(inst, math.inf)
     assert res.certified_radius.startswith("enumerated")
     rel = (solve_cr_ball if geom is Geometry.BALL else solve_cr_box)(inst, tol=1e-12)
     scale = max(1.0, res.value)
@@ -445,14 +459,14 @@ def test_pruned_equals_every_set(family, monkeypatch):
     cases = [(_family_instance(family, n, m, 100 * n + m, geom), geom)
              for n, m, geom in ((2, 9, Geometry.BALL), (3, 14, Geometry.BALL),
                                 (4, 16, Geometry.BALL), (3, 9, Geometry.BOX))]
-    pruned = [oracle._enumerate(inst) for inst, _ in cases]
+    pruned = [oracle._enumerate(inst, math.inf) for inst, _ in cases]
 
     def failing_hull(*args, **kwargs):
         raise QhullError("forced")
 
     monkeypatch.setattr(oracle, "ConvexHull", failing_hull)
     for (inst, geom), res in zip(cases, pruned):
-        every = oracle._enumerate(inst)
+        every = oracle._enumerate(inst, math.inf)
         # equal up to the rounding of one point reached from different sets
         assert abs(res.value - every.value) <= 1e-13 * every.value, (family, inst.m, geom)
         kept, total = res.method_trace["active_sets"], every.method_trace["active_sets"]
@@ -552,7 +566,7 @@ def test_skipped_interior_systems_leave_the_result(family):
     for n, m, geom in ((5, 4, Geometry.BALL), (6, 6, Geometry.BALL), (3, 9, Geometry.BALL),
                        (4, 3, Geometry.BOX), (3, 3, Geometry.BOX), (3, 6, Geometry.BOX)):
         inst = _family_instance(family, n, m, 10 * n + m, geom)
-        res = oracle._enumerate(inst)
+        res = oracle._enumerate(inst, math.inf)
         value, x_best, every = _every_small_set_system(inst)
         case = (family, n, m, geom)
         found = np.concatenate([pts for pts, _ in _candidate_blocks(inst, *_active_sets(inst))])
@@ -576,12 +590,13 @@ def test_interior_systems_only_on_faces_with_more_anchors(monkeypatch):
     face_points = oracle._face_points
     monkeypatch.setattr(oracle, "_face_points", recording_face_points)
     for n in (2, 6, 10):
-        assert oracle._enumerate(generate_random(n, n, seed=8)).method_trace["active_sets"] > 0
+        res = oracle._enumerate(generate_random(n, n, seed=8), math.inf)
+        assert res.method_trace["active_sets"] > 0
     assert calls == []
-    oracle._enumerate(generate_random(5, 12, seed=8))
+    oracle._enumerate(generate_random(5, 12, seed=8), math.inf)
     assert calls and all(call == (5, 6, {6}) for call in calls)
     calls.clear()
-    oracle._enumerate(generate_random(5, 3, seed=8, geometry=Geometry.BOX))
+    oracle._enumerate(generate_random(5, 3, seed=8, geometry=Geometry.BOX), math.inf)
     assert {f for f, _, _ in calls} == {1, 2}  # the faces with |F| < m = 3
     assert all(k == f + 1 and distinct == {f + 1} for f, k, distinct in calls)
 
@@ -618,7 +633,7 @@ def test_enumeration_never_below_multistart_slsqp():
         w = rng.uniform(0.3, 3.0, m) if k % 4 >= 2 else np.ones(m)
         inst = DispersionInstance(n, rng.uniform(-1.0, 1.0, size=(m, n)), w, geom)
         ref = _slsqp_best(inst, 32, rng)
-        assert oracle._enumerate(inst).value >= ref * (1.0 - 1e-12), (k, geom, n, m)
+        assert oracle._enumerate(inst, math.inf).value >= ref * (1.0 - 1e-12), (k, geom, n, m)
 
 
 def test_root_closes_only_where_the_enumeration_cannot_do_better():
@@ -640,12 +655,16 @@ def test_root_closes_only_where_the_enumeration_cannot_do_better():
                     case = (family, geom, n, m)
                     assert res.value <= res.upper + 1e-9, case
                     total[geom] += 1
+                    # the paper's tight case: every ball with m <= n closes
+                    tight = geom is Geometry.BALL and inst.m <= n
+                    assert res.certified_radius.startswith("closed at the root") or not tight, case
                     if res.certified_radius.startswith("closed at the root"):
                         closed[geom] += 1
                         assert res.value >= res.upper - 1e-12 * max(1.0, res.upper), case
                         assert res.method_trace["active_sets"] == 0, case
                         ulps = 4 * np.finfo(float).eps * abs(res.value)
-                        assert abs(oracle._enumerate(inst).value - res.value) <= ulps, case
+                        enum = oracle._enumerate(inst, math.inf)
+                        assert abs(enum.value - res.value) <= ulps, case
     # the root closes some instances of each geometry, but not all
     assert all(0 < closed[g] < total[g] for g in total), (closed, total)
 
@@ -673,3 +692,36 @@ def test_root_closes_within_1e_12_of_the_bound_only(slack, closes, monkeypatch):
     assert res.certified_radius.startswith("closed at the root") is closes
     assert res.upper == raised.zeta_star + raised.gap
     assert (res.method_trace["active_sets"] > 0) is not closes
+
+
+@pytest.mark.parametrize("n, m, antipodal", [(25, 20, False), (40, 40, False), (25, 20, True)])
+def test_balls_with_m_at_most_n_close_at_the_root_above_the_size_limit(n, m, antipodal):
+    # the enumeration would refuse these, but the relaxation is tight on a
+    # ball with m <= n and the root serves them.  Antipodal pairs put x_star
+    # at the origin, where only the paper's slide reaches the bound
+    inst = generate_random(n, m, seed=0)
+    if antipodal:
+        half = inst.points[: m // 2]
+        inst = DispersionInstance(n, np.vstack([half, -half]), inst.weights, Geometry.BALL)
+    assert oracle._system_count(inst) > oracle._MAX_SYSTEMS
+    res = solve_global(inst)
+    assert res.certified_radius.startswith("closed at the root")
+    assert ("slid to the sphere" in res.certified_radius) is antipodal
+    assert res.upper - res.value <= 1e-12 * max(1.0, res.upper)
+    exact = solve_exact(inst).value
+    assert abs(res.value - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("geom", [Geometry.BALL, Geometry.BOX])
+def test_overflowing_pieces_raise_the_relaxations_error(geom, monkeypatch):
+    # the relaxation's pieces overflow at anchors of size 1e160, and its
+    # error reaches the caller: nothing is enumerated without a bound
+    def no_enumeration(inst):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(oracle, "_active_sets", no_enumeration)
+    for m in (2, 7):
+        pts = 1e160 * generate_random(3, m, seed=m).points
+        inst = DispersionInstance(3, pts, np.ones(m), geom)
+        with pytest.raises(ValueError, match="overflows"):
+            solve_global(inst)
